@@ -197,7 +197,14 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 				order = append(order, ranked{ni, sampleScores[ni][qi]})
 			}
 		}
-		sort.Slice(order, func(a, b int) bool { return order[a].d < order[b].d })
+		// Score, then node index: a strict order, so equal sample scores
+		// cannot route the same query differently from run to run.
+		sort.Slice(order, func(a, b int) bool {
+			if order[a].d != order[b].d {
+				return order[a].d < order[b].d
+			}
+			return order[a].node < order[b].node
+		})
 		deep := p.DeepClusters
 		if deep > len(order) {
 			deep = len(order)

@@ -611,7 +611,13 @@ func (co *Coordinator) searchTraced(q []float32, p hermes.Params, tr *telemetry.
 		co.m.observeCost(cost)
 		return &Result{SampleLatency: sampleLat, Cost: cost}, scanned, nil
 	}
-	sort.Slice(ranked, func(i, j int) bool { return ranked[i].score < ranked[j].score })
+	// Score, then node index: the same strict order Store.Search ranks by.
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].score != ranked[j].score {
+			return ranked[i].score < ranked[j].score
+		}
+		return ranked[i].node < ranked[j].node
+	})
 	endRank()
 
 	// Phase 2 — deep search the top clusters.

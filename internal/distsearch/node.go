@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,7 +163,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		if !ar.armed && ar.arrival.Before(start) {
 			arrival = ar.arrival
 		}
-		resp := n.handle(&req, arrival, start)
+		resp := n.handleRecovered(&req, arrival, start)
 		served := now().Sub(start)
 		resp.ServerNanos = served.Nanoseconds()
 		n.met.observe(req.Op, served, req.TraceID)
@@ -196,7 +197,93 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 }
 
+// Request bounds. A shard's live count already caps what a search can return
+// (ivf clamps k to it), so these only stop a peer from asking for work no
+// deployment sends: the paper's K is 5, its deepest nProbe 128, and the
+// batcher closes batches at tens of queries.
+const (
+	maxRequestK      = 1 << 16
+	maxRequestNProbe = 1 << 20
+	maxRequestBatch  = 1 << 12
+)
+
+// validate is the one place a decoded request's numbers are checked before
+// they size or steer anything: k, nProbe and the batch length must be
+// positive and bounded, vectors must match the index dimension and hold only
+// finite components (a NaN poisons every distance it touches and breaks the
+// top-k order). It returns the error text for Response.Err, or "".
+func (n *Node) validate(req *Request) string {
+	dim := n.index.Dim()
+	fail := func(format string, args ...any) string {
+		return fmt.Sprintf("node %d: ", n.shardID) + fmt.Sprintf(format, args...)
+	}
+	switch req.Op {
+	case OpSample, OpDeep, OpSampleBatch, OpDeepBatch:
+	case OpAdd:
+		if p := vecProblem(req.Query, dim); p != "" {
+			return fail("add %s", p)
+		}
+		return ""
+	default:
+		return ""
+	}
+	if deep := req.Op == OpDeep || req.Op == OpDeepBatch; deep && (req.K <= 0 || req.K > maxRequestK) {
+		return fail("k %d outside [1, %d]", req.K, maxRequestK)
+	}
+	if req.NProbe <= 0 || req.NProbe > maxRequestNProbe {
+		return fail("nprobe %d outside [1, %d]", req.NProbe, maxRequestNProbe)
+	}
+	if req.Op == OpSample || req.Op == OpDeep {
+		if p := vecProblem(req.Query, dim); p != "" {
+			return fail("query %s", p)
+		}
+		return ""
+	}
+	if len(req.Queries) == 0 || len(req.Queries) > maxRequestBatch {
+		return fail("batch of %d queries outside [1, %d]", len(req.Queries), maxRequestBatch)
+	}
+	for i, q := range req.Queries {
+		if p := vecProblem(q, dim); p != "" {
+			return fail("batch query %d %s", i, p)
+		}
+	}
+	return ""
+}
+
+// vecProblem says why v cannot be scored against (or stored in) a
+// dim-dimensional index, or "" when it can.
+func vecProblem(v []float32, dim int) string {
+	if len(v) != dim {
+		return fmt.Sprintf("dim %d != %d", len(v), dim)
+	}
+	for i, x := range v {
+		if x-x != 0 { // NaN or ±Inf
+			return fmt.Sprintf("component %d is not finite", i)
+		}
+	}
+	return ""
+}
+
+// handleRecovered is handle with a last line of defence: a panic while
+// serving one request (a bug — validate rejects what a peer can cause)
+// becomes that request's error response instead of taking down the node and
+// every other connection with it. handle's deferred unlocks have run by the
+// time the panic arrives here.
+func (n *Node) handleRecovered(req *Request, arrival, decodeDone time.Time) (resp *Response) {
+	defer func() {
+		if r := recover(); r != nil {
+			n.logger.Printf("node %d: panic serving op %d: %v\n%s", n.shardID, req.Op, r, debug.Stack())
+			n.ev.Error("node.panic", evlog.Int("shard", int64(n.shardID)), evlog.Int("op", int64(req.Op)), evlog.Str("panic", fmt.Sprint(r)))
+			resp = &Response{Err: fmt.Sprintf("node %d: internal error serving op %d: %v", n.shardID, req.Op, r)}
+		}
+	}()
+	return n.handle(req, arrival, decodeDone)
+}
+
 func (n *Node) handle(req *Request, arrival, decodeDone time.Time) *Response {
+	if msg := n.validate(req); msg != "" {
+		return &Response{Err: msg}
+	}
 	switch req.Op {
 	case OpAdd, OpRemove, OpCompact:
 		n.idxMu.Lock()
@@ -209,33 +296,18 @@ func (n *Node) handle(req *Request, arrival, decodeDone time.Time) *Response {
 	case OpInfo:
 		return &Response{ShardID: n.shardID, Size: n.index.Len(), Dim: n.index.Dim(), Centroid: n.meanCentroid()}
 	case OpSample:
-		if len(req.Query) != n.index.Dim() {
-			return &Response{Err: fmt.Sprintf("node %d: query dim %d != %d", n.shardID, len(req.Query), n.index.Dim())}
-		}
 		atomic.AddInt64(&n.sampleServed, 1)
 		return n.searchResp(req, 1, req.NProbe, arrival, decodeDone)
 	case OpDeep:
-		if len(req.Query) != n.index.Dim() {
-			return &Response{Err: fmt.Sprintf("node %d: query dim %d != %d", n.shardID, len(req.Query), n.index.Dim())}
-		}
-		if req.K <= 0 {
-			return &Response{Err: fmt.Sprintf("node %d: k must be positive", n.shardID)}
-		}
 		atomic.AddInt64(&n.deepServed, 1)
 		return n.searchResp(req, req.K, req.NProbe, arrival, decodeDone)
 	case OpSampleBatch:
 		atomic.AddInt64(&n.sampleServed, int64(len(req.Queries)))
 		return n.handleBatch(req, 1, req.NProbe, arrival, decodeDone)
 	case OpDeepBatch:
-		if req.K <= 0 {
-			return &Response{Err: fmt.Sprintf("node %d: k must be positive", n.shardID)}
-		}
 		atomic.AddInt64(&n.deepServed, int64(len(req.Queries)))
 		return n.handleBatch(req, req.K, req.NProbe, arrival, decodeDone)
 	case OpAdd:
-		if len(req.Query) != n.index.Dim() {
-			return &Response{Err: fmt.Sprintf("node %d: add dim %d != %d", n.shardID, len(req.Query), n.index.Dim())}
-		}
 		if err := n.index.Add(req.ID, req.Query); err != nil {
 			return &Response{Err: err.Error()}
 		}
@@ -331,9 +403,6 @@ func (n *Node) handleBatch(req *Request, k, nProbe int, arrival, decodeDone time
 		scanStart = now()
 	}
 	for i, q := range req.Queries {
-		if len(q) != n.index.Dim() {
-			return &Response{Err: fmt.Sprintf("node %d: batch query %d dim %d != %d", n.shardID, i, len(q), n.index.Dim())}
-		}
 		if traced {
 			res, st, ph := n.scanPhased(q, k, nProbe)
 			batch[i] = res
@@ -370,11 +439,6 @@ func (n *Node) handleBatch(req *Request, k, nProbe int, arrival, decodeDone time
 // each query's ScanNanos carries its codes-proportional share of the
 // measured list-scan time.
 func (n *Node) groupedBatch(req *Request, k, nProbe int, arrival, decodeDone time.Time) *Response {
-	for i, q := range req.Queries {
-		if len(q) != n.index.Dim() {
-			return &Response{Err: fmt.Sprintf("node %d: batch query %d dim %d != %d", n.shardID, i, len(q), n.index.Dim())}
-		}
-	}
 	traced := req.TraceID != 0
 	scanStart := decodeDone
 	if traced {

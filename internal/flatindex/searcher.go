@@ -48,6 +48,9 @@ func (s *Searcher) Search(dst []vec.Neighbor, q []float32, k int) []vec.Neighbor
 	if k <= 0 || n == 0 {
 		return dst
 	}
+	if k > n { // never size the selector past what the index holds
+		k = n
+	}
 	if s.tk == nil {
 		s.tk = vec.NewTopK(k)
 	} else {
@@ -65,7 +68,7 @@ func (s *Searcher) Search(dst []vec.Neighbor, q []float32, k int) []vec.Neighbor
 		worst, full := s.tk.WorstScore()
 		for i, id := range ids {
 			d := dist[i]
-			if full && d >= worst {
+			if full && d > worst {
 				continue
 			}
 			s.tk.Push(id, d)

@@ -49,6 +49,25 @@ func TestSearcherMatchesScalarScan(t *testing.T) {
 	}
 }
 
+// Duplicate vectors tie exactly; the oracle must order them by id whatever
+// block they fall in, and an absurd k is clamped to the index size.
+func TestSearcherTiesAndHugeK(t *testing.T) {
+	ix, data := randIndex(t, scanBlock+40, 6, 11)
+	for _, dup := range []int{3, scanBlock - 1, scanBlock, scanBlock + 20} {
+		ix.Add(int64(1000-dup), data.Row(7)) // later position, lower-or-higher id
+	}
+	got := ix.Search(data.Row(7), 3)
+	if got[0].Score != 0 || got[1].Score != 0 || got[2].Score != 0 {
+		t.Fatalf("expected three exact matches first, got %v", got)
+	}
+	if got[0].ID != 7 || got[1].ID >= got[2].ID {
+		t.Fatalf("tied scores not in id order: %v", got)
+	}
+	if all := ix.Search(data.Row(7), 1<<62); len(all) != ix.Len() {
+		t.Fatalf("k=1<<62 returned %d results, want all %d", len(all), ix.Len())
+	}
+}
+
 // TestSearcherZeroAlloc: a warmed Searcher with a recycled result slice does
 // zero heap allocations per exact query.
 func TestSearcherZeroAlloc(t *testing.T) {

@@ -15,16 +15,18 @@ type rankedShard struct {
 	shard int32
 }
 
-// sortRanked orders shards ascending by score with a stable insertion sort.
-// Shard counts are small (the paper deploys 10-40), where insertion sort wins
-// and — unlike sort.Slice — costs no closure allocation in the hot path.
+// sortRanked orders shards ascending by score, ties by shard index, with an
+// insertion sort: the ranking is a function of the scores alone, not of the
+// order they were collected in. Shard counts are small (the paper deploys
+// 10-40), where insertion sort wins and — unlike sort.Slice — costs no
+// closure allocation in the hot path.
 //
 //hermes:hotpath
 func sortRanked(order []rankedShard) {
 	for i := 1; i < len(order); i++ {
 		x := order[i]
 		j := i - 1
-		for j >= 0 && order[j].d > x.d {
+		for j >= 0 && (order[j].d > x.d || (order[j].d == x.d && order[j].shard > x.shard)) {
 			order[j+1] = order[j]
 			j--
 		}

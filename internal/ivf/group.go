@@ -14,9 +14,9 @@ import (
 // grouped path streams them once per block and evaluates all G bound queries
 // against the block while it is hot in cache. The distance kernels, the block
 // boundaries, and the fold into vec.TopK are exactly the single-query path's,
-// so per-query results are bit-equivalent to sequential execution (the only
-// divergence is per-query cell visit order, which cannot change a top-k set
-// when scores are distinct; see DESIGN.md §13).
+// so per-query results are bit-equivalent to sequential execution: the only
+// divergence is per-query cell visit order, and vec.TopK's (score, id) total
+// order makes the retained set independent of it (DESIGN.md §13).
 
 // cellRef names one (cell, query-slot) probe. The grouped scan buckets the
 // batch's refs by cell so co-probing queries form contiguous runs.
@@ -179,6 +179,9 @@ func (g *GroupSearcher) search(queries [][]float32, k, nProbe int, ph *PhaseNano
 	}
 	if nProbe > ix.cfg.NList {
 		nProbe = ix.cfg.NList
+	}
+	if k > ix.count { // as in Searcher.search: never size a selector past the live vectors
+		k = ix.count
 	}
 	n := len(queries)
 	if cap(g.slots) < n {
@@ -364,7 +367,7 @@ func (g *GroupSearcher) scanCellGroup(l *invList, cs int, dead []uint32, group [
 			if len(dead) == 0 {
 				for i, id := range ids {
 					d := dist[i]
-					if full && d >= worst {
+					if full && d > worst {
 						continue
 					}
 					tk.Push(id, d)
@@ -387,7 +390,7 @@ func (g *GroupSearcher) scanCellGroup(l *invList, cs int, dead []uint32, group [
 				}
 				lv++
 				d := dist[i]
-				if full && d >= worst {
+				if full && d > worst {
 					continue
 				}
 				tk.Push(id, d)
@@ -454,8 +457,8 @@ func (g *GroupSearcher) CostStats(i int) CostStats {
 
 // SearchGroup executes all queries as one grouped batch with shared per-cell
 // scans, returning each query's neighbors (best first) and the batch's work
-// stats. Results are identical to running Search per query (see DESIGN.md
-// §13 for the tie-at-k caveat). It draws a GroupSearcher from the index's
+// stats. Results are identical to running Search per query, score ties
+// included (DESIGN.md §13). It draws a GroupSearcher from the index's
 // internal pool, so steady-state batches allocate only the returned slices.
 func (ix *Index) SearchGroup(queries [][]float32, k, nProbe int) ([][]vec.Neighbor, GroupStats) {
 	out := make([][]vec.Neighbor, len(queries))

@@ -125,6 +125,11 @@ func (s *Searcher) search(dst []vec.Neighbor, q []float32, k, nProbe int, ph *Ph
 	if nProbe > ix.cfg.NList {
 		nProbe = ix.cfg.NList
 	}
+	// No search can return more than the live vectors, so the selector is
+	// never sized past them, whatever k a caller (or a peer) asks for.
+	if k > ix.count {
+		k = ix.count
+	}
 	var mark time.Time
 	if ph != nil {
 		mark = now()
@@ -201,7 +206,7 @@ func (s *Searcher) scanList(l *invList, cs int, dead []uint32) int {
 		if len(dead) == 0 {
 			for i, id := range ids {
 				d := dist[i]
-				if full && d >= worst {
+				if full && d > worst {
 					continue
 				}
 				tk.Push(id, d)
@@ -221,7 +226,7 @@ func (s *Searcher) scanList(l *invList, cs int, dead []uint32) int {
 			}
 			live++
 			d := dist[i]
-			if full && d >= worst {
+			if full && d > worst {
 				continue
 			}
 			tk.Push(id, d)
@@ -241,10 +246,12 @@ func (s *Searcher) selectCells(q []float32, nProbe int) {
 
 // selectProbeCells is the shared probe-cell selection of the single-query
 // and grouped scan paths: it fills cells with the nProbe cells whose
-// centroids are closest to q, ascending by distance. It is a bounded
-// max-heap partial selection — O(nlist log nProbe) instead of the full
-// O(nlist log nlist) sort — and both scratch slices are returned (grown only
-// on first use) so callers can pool them across queries.
+// centroids are closest to q, ascending by distance. Centroid distances come
+// from vec.L2SquaredBatch a block at a time through a fixed stack buffer;
+// the selection is a bounded max-heap partial selection — O(nlist log
+// nProbe) instead of the full O(nlist log nlist) sort — and both scratch
+// slices are returned (grown only on first use) so callers can pool them
+// across queries.
 //
 //hermes:hotpath
 func selectProbeCells(ix *Index, q []float32, nProbe int, heap []cellDist, cells []int32) ([]cellDist, []int32) {
@@ -252,18 +259,24 @@ func selectProbeCells(ix *Index, q []float32, nProbe int, heap []cellDist, cells
 		heap = make([]cellDist, 0, nProbe)
 	}
 	h := heap[:0]
-	for c := 0; c < ix.cfg.NList; c++ {
-		d := vec.L2Squared(q, ix.centroids.Row(c))
-		if len(h) < nProbe {
-			h = append(h, cellDist{d, int32(c)})
-			siftUpCell(h, len(h)-1)
-			continue
+	var dist [scanBlock]float32
+	centroids := ix.centroids.Data()
+	dim := ix.cfg.Dim
+	for c0 := 0; c0 < ix.cfg.NList; c0 += scanBlock {
+		cn := min(ix.cfg.NList-c0, scanBlock)
+		vec.L2SquaredBatch(q, centroids[c0*dim:], cn, dist[:cn])
+		for i, d := range dist[:cn] {
+			if len(h) < nProbe {
+				h = append(h, cellDist{d, int32(c0 + i)})
+				siftUpCell(h, len(h)-1)
+				continue
+			}
+			if d >= h[0].d {
+				continue
+			}
+			h[0] = cellDist{d, int32(c0 + i)}
+			siftDownCell(h, 0)
 		}
-		if d >= h[0].d {
-			continue
-		}
-		h[0] = cellDist{d, int32(c)}
-		siftDownCell(h, 0)
 	}
 	// Heapsort extraction: repeatedly move the current max to the end, so the
 	// slice ends up ascending by distance.

@@ -106,6 +106,28 @@ func TestSearcherNProbeClamp(t *testing.T) {
 	}
 }
 
+// A k beyond the live count is clamped to it where the selector is sized: an
+// absurd k returns every live vector instead of panicking in makeslice.
+func TestSearchHugeKClampedToLiveCount(t *testing.T) {
+	data := gaussianData(300, 8, 47)
+	ix := buildIndex(t, data, Config{Dim: 8, NList: 6, Seed: 3})
+	for id := int64(0); id < 300; id += 9 {
+		ix.Remove(id)
+	}
+	q := data.Row(1)
+	want := ix.Search(q, ix.Len(), ix.NList())
+	if len(want) != ix.Len() {
+		t.Fatalf("full search returned %d of %d live vectors", len(want), ix.Len())
+	}
+	if got := ix.Search(q, 1<<62, ix.NList()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("k=1<<62 returned %d results, want all %d live vectors", len(got), len(want))
+	}
+	grp, _ := ix.SearchGroup([][]float32{q, q}, 1<<62, ix.NList())
+	if !reflect.DeepEqual(grp[0], want) || !reflect.DeepEqual(grp[1], want) {
+		t.Fatalf("grouped k=1<<62 returned %d/%d results, want %d", len(grp[0]), len(grp[1]), len(want))
+	}
+}
+
 // TestSearcherZeroAlloc is the steady-state allocation contract: a warmed
 // Searcher with a recycled result slice performs zero heap allocations per
 // query, for every kernel and in residual mode.

@@ -116,6 +116,7 @@ func Train(data *vec.Matrix, cfg Config) (*Result, error) {
 	centroids := initCentroids(train, cfg.K, cfg.PlusPlus, rng)
 	assign := make([]int, nt)
 	sizes := make([]int, cfg.K)
+	sums := vec.NewMatrix(cfg.K, train.Dim)
 	prevInertia := math.Inf(1)
 	var inertia float64
 	iters := 0
@@ -134,7 +135,7 @@ func Train(data *vec.Matrix, cfg Config) (*Result, error) {
 			inertia += float64(d)
 		}
 		// Update step.
-		sums := vec.NewMatrix(cfg.K, train.Dim)
+		clear(sums.Data())
 		for i := 0; i < nt; i++ {
 			vec.Add(sums.Row(assign[i]), train.Row(i))
 		}
@@ -241,8 +242,10 @@ func initCentroids(data *vec.Matrix, k int, plusPlus bool, rng *rand.Rand) *vec.
 	// distance to the nearest chosen centroid.
 	copy(centroids.Row(0), data.Row(rng.Intn(n)))
 	dists := make([]float64, n)
-	for i := 0; i < n; i++ {
-		dists[i] = float64(vec.L2Squared(data.Row(i), centroids.Row(0)))
+	toNew := make([]float32, n) // every point's distance to the newest centroid
+	vec.L2SquaredBatch(centroids.Row(0), data.Data(), n, toNew)
+	for i, d := range toNew {
+		dists[i] = float64(d)
 	}
 	for c := 1; c < k; c++ {
 		var total float64
@@ -265,8 +268,9 @@ func initCentroids(data *vec.Matrix, k int, plusPlus bool, rng *rand.Rand) *vec.
 			}
 		}
 		copy(centroids.Row(c), data.Row(pick))
-		for i := 0; i < n; i++ {
-			if d := float64(vec.L2Squared(data.Row(i), centroids.Row(c))); d < dists[i] {
+		vec.L2SquaredBatch(centroids.Row(c), data.Data(), n, toNew)
+		for i, d32 := range toNew {
+			if d := float64(d32); d < dists[i] {
 				dists[i] = d
 			}
 		}
@@ -276,11 +280,15 @@ func initCentroids(data *vec.Matrix, k int, plusPlus bool, rng *rand.Rand) *vec.
 
 func reseedEmpty(centroids *vec.Matrix, c int, data *vec.Matrix, assign []int, rng *rand.Rand) {
 	// Pick the training point farthest from its current centroid.
+	// Centroids below c already hold this iteration's means, so the distances
+	// cannot be reused from the assignment step; each point is a one-row batch
+	// against its own centroid.
 	worst, worstDist := rng.Intn(data.Len()), float32(-1)
+	var d [1]float32
 	for i := 0; i < data.Len(); i++ {
-		d := vec.L2Squared(data.Row(i), centroids.Row(assign[i]))
-		if d > worstDist {
-			worst, worstDist = i, d
+		vec.L2SquaredBatch(data.Row(i), centroids.Row(assign[i]), 1, d[:])
+		if d[0] > worstDist {
+			worst, worstDist = i, d[0]
 		}
 	}
 	copy(centroids.Row(c), data.Row(worst))

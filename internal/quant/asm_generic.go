@@ -9,9 +9,9 @@ const (
 	pqUseAsm  = false
 )
 
-// sq8DotAsm is never called when sq8UseAsm is false.
-func sq8DotAsm(code []byte, qm, scale []float32) float32 {
-	panic("quant: sq8DotAsm called without assembly support")
+// sq8BatchAsm is never called when sq8UseAsm is false.
+func sq8BatchAsm(codes []byte, qm, scale []float32, n int, out []float32) {
+	panic("quant: sq8BatchAsm called without assembly support")
 }
 
 // pqScanAsm is never called when pqUseAsm is false.

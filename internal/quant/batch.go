@@ -145,12 +145,13 @@ func (b *flatBatch) DistanceBatch(codes []byte, n int, out []float32) {
 //
 // SQ8 uses branch-free direct dequantization: BindQuery precomputes
 // qm[d] = q[d] - min[d]; the scan evaluates (qm[d] - code*scale[d])^2, on
-// amd64 via an SSE2 assembly loop (8 dims per iteration) and elsewhere via
-// four-lane Go. The per-(dimension, level) squared-difference table the
-// scalar path uses was measured and rejected for the 8-bit batch kernel: at
-// dim=128 it is a 128 KiB working set walked with 1 KiB strides (one cache
-// line per dimension per code), which runs out of L1 and ends up slower than
-// the scalar closure — see DESIGN.md §8.
+// amd64 via an AVX2 assembly kernel (four codes in flight, 8 dims per step)
+// or, without AVX2, its bit-identical SSE2 twin; elsewhere, and for dims not
+// divisible by 4, via four-lane Go. The per-(dimension, level)
+// squared-difference table the scalar path uses was measured and rejected
+// for the 8-bit batch kernel: at dim=128 it is a 128 KiB working set walked
+// with 1 KiB strides (one cache line per dimension per code), which runs out
+// of L1 and ends up slower than the scalar closure — see DESIGN.md §8.
 //
 // SQ4 keeps the table: at 16 levels it is one cache line per dimension
 // (dim x 64 B = 8 KiB at dim=128), L1-resident across the whole scan. Rows
@@ -159,8 +160,8 @@ func (b *flatBatch) DistanceBatch(codes []byte, n int, out []float32) {
 
 type sqBatch struct {
 	sq  *SQ
-	qm  []float32      // q - min, rebuilt per query (8-bit path)
-	lut [][16]float32  // per-dim squared-diff rows (4-bit path only)
+	qm  []float32     // q - min, rebuilt per query (8-bit path)
+	lut [][16]float32 // per-dim squared-diff rows (4-bit path only)
 }
 
 // NewBatchDistancer returns the SQ batch kernel for this code width.
@@ -211,9 +212,7 @@ func (b *sqBatch) batch8(codes []byte, n, cs int, out []float32) {
 	qm, scale := b.qm, b.sq.scale
 	dim := b.sq.dim
 	if sq8UseAsm && dim%4 == 0 {
-		for i := 0; i < n; i++ {
-			out[i] = sq8DotAsm(codes[i*cs:i*cs+cs], qm, scale)
-		}
+		sq8BatchAsm(codes, qm, scale, n, out)
 		return
 	}
 	for i := 0; i < n; i++ {
@@ -274,8 +273,8 @@ func (b *sqBatch) batch4(codes []byte, n, cs int, out []float32) {
 
 type pqBatch struct {
 	pq     *PQ
-	ksub   int             // actual codebook size (<= 256 when clamped)
-	tables [][256]float32  // one gather row per subquantizer
+	ksub   int            // actual codebook size (<= 256 when clamped)
+	tables [][256]float32 // one gather row per subquantizer
 }
 
 // NewBatchDistancer returns the PQ ADC table-gather kernel.
@@ -289,11 +288,7 @@ func (b *pqBatch) BindQuery(q []float32) {
 	checkQueryDim(len(q), p.dim)
 	for m := 0; m < p.m; m++ {
 		sub := q[m*p.dsub : (m+1)*p.dsub]
-		cb := p.codebooks[m]
-		row := &b.tables[m]
-		for c := 0; c < b.ksub; c++ {
-			row[c] = vec.L2Squared(sub, cb.Row(c))
-		}
+		vec.L2SquaredBatch(sub, p.codebooks[m].Data(), b.ksub, b.tables[m][:])
 	}
 }
 

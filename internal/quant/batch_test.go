@@ -214,3 +214,60 @@ func TestBatchBindQueryZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// checkSQ8PositionIndependent sweeps every dim around the 4- and 8-lane
+// boundaries (dims not divisible by 4 take the Go loop, the rest the
+// assembly on amd64) and every row count around the 4-code block and the
+// 256-code scan block: a code's distance is the same bits whether it is
+// scored alone, mid-block or in a tail, from a code slice at any byte offset.
+func checkSQ8PositionIndependent(t *testing.T) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(33))
+	dims := []int{128, 255, 256}
+	for d := 1; d <= 67; d++ {
+		dims = append(dims, d)
+	}
+	for _, dim := range dims {
+		train := vec.NewMatrix(32, dim)
+		for i := range train.Data() {
+			train.Data()[i] = float32(rng.NormFloat64())
+		}
+		sq := NewSQ(dim, 8)
+		if err := sq.Train(train); err != nil {
+			t.Fatal(err)
+		}
+		kernel := sq.NewBatchDistancer()
+		q := make([]float32, dim)
+		for d := range q {
+			q[d] = float32(rng.NormFloat64())
+		}
+		kernel.BindQuery(q)
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257} {
+			if n > 9 && dim > 67 {
+				continue
+			}
+			buf := make([]byte, n*dim+1)
+			rng.Read(buf)
+			codes := buf[1:] // odd byte offset
+			out := make([]float32, n)
+			kernel.DistanceBatch(codes, n, out)
+			for i := 0; i < n; i++ {
+				alone := kernel.Distance(codes[i*dim : (i+1)*dim])
+				if math.Float32bits(alone) != math.Float32bits(out[i]) {
+					t.Fatalf("dim=%d n=%d code %d: in batch %v, alone %v", dim, n, i, out[i], alone)
+				}
+			}
+			if n > 5 {
+				part := make([]float32, n-3)
+				kernel.DistanceBatch(codes[3*dim:], n-3, part)
+				for i, d := range part {
+					if math.Float32bits(d) != math.Float32bits(out[3+i]) {
+						t.Fatalf("dim=%d n=%d code %d: shifted batch %v != %v", dim, n, 3+i, d, out[3+i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSQ8BatchPositionIndependent(t *testing.T) { checkSQ8PositionIndependent(t) }

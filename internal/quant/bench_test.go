@@ -117,3 +117,22 @@ func BenchmarkBindQuery(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSQ8Batch is the serving codec's list-scan kernel alone at the
+// benchmark workloads' dims (wire_bound 32, scan_bound 256): 1024 codes per
+// op, so ns/op / 1024 is the ladder's kernel_ns_per_code.
+func BenchmarkSQ8Batch(b *testing.B) {
+	for _, dim := range []int{32, 64, 256} {
+		b.Run(fmt.Sprintf("dim%d", dim), func(b *testing.B) {
+			s := newBenchSetup(b, NewSQ(dim, 8), dim, 1024)
+			kernel := NewBatchDistancer(s.qz)
+			kernel.BindQuery(s.q)
+			out := make([]float32, s.n)
+			b.SetBytes(int64(s.n * s.qz.CodeSize()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernel.DistanceBatch(s.codes, s.n, out)
+			}
+		})
+	}
+}

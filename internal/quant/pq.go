@@ -106,10 +106,7 @@ func (p *PQ) NewDistancer(q []float32) Distancer {
 	table := make([]float32, p.m*ksubActual)
 	for m := 0; m < p.m; m++ {
 		sub := q[m*p.dsub : (m+1)*p.dsub]
-		base := m * ksubActual
-		for c := 0; c < ksubActual; c++ {
-			table[base+c] = vec.L2Squared(sub, p.codebooks[m].Row(c))
-		}
+		vec.L2SquaredBatch(sub, p.codebooks[m].Data(), ksubActual, table[m*ksubActual:])
 	}
 	return func(code []byte) float32 {
 		var sum float32

@@ -107,51 +107,3 @@ func TestTopKAppendResults(t *testing.T) {
 		t.Fatalf("AppendResults allocated %v times per run", allocs)
 	}
 }
-
-func BenchmarkL2SquaredScalarLoop(b *testing.B) {
-	for _, dim := range []int{64, 128, 768} {
-		b.Run(benchName(dim), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			const n = 1024
-			m := randomMatrix(rng, n, dim)
-			q := m.Row(0)
-			b.SetBytes(int64(n * dim * 4))
-			b.ResetTimer()
-			var sink float32
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < n; j++ {
-					sink += L2Squared(q, m.Row(j))
-				}
-			}
-			_ = sink
-		})
-	}
-}
-
-func BenchmarkL2SquaredBatch(b *testing.B) {
-	for _, dim := range []int{64, 128, 768} {
-		b.Run(benchName(dim), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			const n = 1024
-			m := randomMatrix(rng, n, dim)
-			q := m.Row(0)
-			out := make([]float32, n)
-			b.SetBytes(int64(n * dim * 4))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				L2SquaredBatch(q, m.Data(), n, out)
-			}
-		})
-	}
-}
-
-func benchName(dim int) string {
-	switch dim {
-	case 64:
-		return "dim64"
-	case 128:
-		return "dim128"
-	default:
-		return "dim768"
-	}
-}

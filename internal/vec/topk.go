@@ -9,12 +9,21 @@ type Neighbor struct {
 }
 
 // TopK maintains the k best candidates seen so far. It is a bounded
-// max-heap on distance: the root is the current worst retained candidate, so
-// a new candidate replaces the root when it beats it. Use one instance per
-// query; the zero value is not usable — call NewTopK.
+// max-heap: the root is the current worst retained candidate, so a new
+// candidate replaces the root when it beats it. Candidates are ordered by
+// score, then id — a strict total order, so the retained set and the order
+// Results returns it in depend only on what was offered, never on the order
+// it was offered in (grouped, sequential and distributed scans visit cells
+// in different orders and must agree). Use one instance per query; the zero
+// value is not usable — call NewTopK.
 type TopK struct {
 	k    int
-	heap []Neighbor // max-heap by Score (distance)
+	heap []Neighbor // max-heap by (Score, ID)
+}
+
+// worse reports whether a ranks strictly after b.
+func worse(a, b Neighbor) bool {
+	return a.Score > b.Score || (a.Score == b.Score && a.ID > b.ID)
 }
 
 // NewTopK returns a selector retaining the k smallest-scored neighbors.
@@ -41,23 +50,26 @@ func (t *TopK) Reset(k int) {
 }
 
 // Push offers a candidate; it is retained if fewer than k candidates are held
-// or its score beats the current worst.
+// or it beats the current worst (a lower score, or the same score and a
+// lower id).
 func (t *TopK) Push(id int64, score float32) {
+	c := Neighbor{ID: id, Score: score}
 	if len(t.heap) < t.k {
-		t.heap = append(t.heap, Neighbor{ID: id, Score: score})
+		t.heap = append(t.heap, c)
 		t.siftUp(len(t.heap) - 1)
 		return
 	}
-	if score >= t.heap[0].Score {
+	if !worse(t.heap[0], c) {
 		return
 	}
-	t.heap[0] = Neighbor{ID: id, Score: score}
+	t.heap[0] = c
 	t.siftDown(0)
 }
 
 // WorstScore returns the score of the worst retained candidate, or +Inf-like
 // behaviour via (ok=false) when fewer than k candidates are held. Callers use
-// it to prune scans early.
+// it to prune scans early: a candidate scoring strictly above it can be
+// skipped, one that ties it must still be offered so Push can compare ids.
 func (t *TopK) WorstScore() (float32, bool) {
 	if len(t.heap) < t.k {
 		return 0, false
@@ -96,7 +108,7 @@ func (t *TopK) AppendResults(dst []Neighbor) []Neighbor {
 func (t *TopK) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if t.heap[parent].Score >= t.heap[i].Score {
+		if !worse(t.heap[i], t.heap[parent]) {
 			return
 		}
 		t.heap[parent], t.heap[i] = t.heap[i], t.heap[parent]
@@ -109,10 +121,10 @@ func (t *TopK) siftDown(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && t.heap[l].Score > t.heap[largest].Score {
+		if l < n && worse(t.heap[l], t.heap[largest]) {
 			largest = l
 		}
-		if r < n && t.heap[r].Score > t.heap[largest].Score {
+		if r < n && worse(t.heap[r], t.heap[largest]) {
 			largest = r
 		}
 		if largest == i {

@@ -2,10 +2,11 @@
 // index and clustering component in the repository: dot products, squared
 // Euclidean distance, norms, and blocked batch variants.
 //
-// All kernels operate on plain []float32 slices. Batched variants unroll the
-// inner loop in blocks of four, which is the main portable optimization
-// available without assembly; they are the hot path of IVF list scans and
-// k-means assignment.
+// All kernels operate on plain []float32 slices. L2SquaredBatch is the one
+// "query against a contiguous matrix" kernel (SSE2 assembly on amd64, a
+// four-lane Go loop elsewhere) and is bit-identical to L2Squared, the
+// single-pair reference; it is the hot path of flat scans, coarse-cell
+// selection and k-means assignment.
 package vec
 
 import (
@@ -171,16 +172,27 @@ func (m *Matrix) AppendRow(v []float32) {
 // Bytes reports the memory footprint of the stored float32 data.
 func (m *Matrix) Bytes() int64 { return int64(len(m.data)) * 4 }
 
+// argMinBlock is the number of rows ArgMinL2 scores per L2SquaredBatch call:
+// a 1 KiB stack buffer, so the call stays allocation-free.
+const argMinBlock = 256
+
 // ArgMinL2 returns the row index of m closest (squared L2) to q and the
-// corresponding distance. The matrix must be non-empty.
+// corresponding distance; the first minimum wins ties. The matrix must be
+// non-empty.
 func (m *Matrix) ArgMinL2(q []float32) (int, float32) {
-	if m.Len() == 0 {
+	n := m.Len()
+	if n == 0 {
 		panic("vec: ArgMinL2 on empty matrix")
 	}
-	best, bestDist := 0, L2Squared(q, m.Row(0))
-	for i := 1; i < m.Len(); i++ {
-		if d := L2Squared(q, m.Row(i)); d < bestDist {
-			best, bestDist = i, d
+	var dist [argMinBlock]float32
+	best, bestDist := -1, float32(0)
+	for b0 := 0; b0 < n; b0 += argMinBlock {
+		bn := min(n-b0, argMinBlock)
+		L2SquaredBatch(q, m.data[b0*m.Dim:], bn, dist[:bn])
+		for i, d := range dist[:bn] {
+			if best < 0 || d < bestDist {
+				best, bestDist = b0+i, d
+			}
 		}
 	}
 	return best, bestDist

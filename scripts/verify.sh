@@ -22,3 +22,8 @@ go vet ./...
 go test ./...
 go test -race ./internal/distsearch/ ./internal/batcher/ ./internal/telemetry/ ./internal/ivf/ ./internal/hermes/ ./internal/slo/ ./internal/evlog/
 go test -bench=. -benchtime=1x -run '^$' ./internal/vec/ ./internal/quant/ ./internal/ivf/
+# The property tests in these packages draw random seeds, and `go test`'s
+# result cache replays one green run until the package changes: -count
+# disables the cache, so a flake (the grouped/sequential tie order was one)
+# cannot hide behind it.
+go test -count=3 ./internal/vec/ ./internal/ivf/ ./internal/hermes/
