@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/evlog"
 	"repro/internal/hermes"
 	"repro/internal/telemetry"
 	"repro/internal/vec"
@@ -25,26 +24,20 @@ type BatchResult struct {
 	// Costs is the per-query cost ledger, index-aligned with the input:
 	// node-reported cells and exclusive/amortized codes plus each query's
 	// even share of the wire bytes of the batched round-trips that carried
-	// it. Entries stay at their wire-byte floor when every node predates the
-	// v6 ledger.
+	// it.
 	Costs []telemetry.QueryCost
 	// Total is the batch-level cost rollup: codes and cells summed from the
 	// node ledger entries (each node's entries conserve its distinct-scan
 	// counter exactly), scan time from the node-shipped list_scan spans
 	// (traced batches only), wire bytes from the coordinator's own
-	// round-trip byte deltas. With v6 nodes the per-query Costs sum exactly
-	// to Total component-wise — the attribution conserves the measurement.
+	// round-trip byte deltas. The per-query Costs sum exactly to Total
+	// component-wise — the attribution conserves the measurement.
 	Total telemetry.QueryCost
 	// BatchID is the batch's identity: the batch trace's ID when traced,
 	// else a freshly minted ID when a flight recorder is attached (member
 	// records carry it so /debug/queries?batch= can reassemble the batch),
 	// else 0.
 	BatchID uint64
-	// Degraded counts grouped wire requests that a node served WITHOUT
-	// grouped execution — a pre-v6 node that dropped the Grouped flag and
-	// ran the batch per-query. 0 when grouping is off or all nodes are
-	// current.
-	Degraded int
 }
 
 // SearchBatch runs the hierarchical search for a whole batch using one
@@ -90,7 +83,6 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 
 	costs := make([]telemetry.QueryCost, len(queries))
 	var total telemetry.QueryCost
-	degraded := 0
 	var costMu sync.Mutex
 
 	// foldNodeResponse merges one node response's attribution into the
@@ -98,7 +90,7 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 	// (index-aligned with idx), an even split of the round-trip's wire bytes
 	// across the queries the request carried, and the independently sourced
 	// totals (distinct codes scanned, list_scan span time, wire bytes).
-	foldNodeResponse := func(resp *Response, wire int64, idx []int, op string) {
+	foldNodeResponse := func(resp *Response, wire int64, idx []int) {
 		costMu.Lock()
 		defer costMu.Unlock()
 		for slot, c := range resp.Costs {
@@ -121,13 +113,6 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 			if ws.Name == "list_scan" {
 				total.ScanNanos += ws.DurNanos
 			}
-		}
-		if co.grouped && !resp.GroupedExec {
-			degraded++
-			co.m.groupDegrades.Inc()
-			co.ev.Warn("group.degrade",
-				evlog.Int("shard", int64(resp.ShardID)), evlog.Str("op", op),
-				evlog.Int("queries", int64(len(idx))))
 		}
 	}
 
@@ -158,7 +143,7 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 				return
 			}
 			stitchSpans(tr, sendAt, resp.Spans)
-			foldNodeResponse(resp, wire, allIdx, "sample_batch")
+			foldNodeResponse(resp, wire, allIdx)
 			scores := make([]float32, len(queries))
 			oks := make([]bool, len(queries))
 			for qi, res := range resp.Batch {
@@ -245,7 +230,7 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 				return
 			}
 			stitchSpans(tr, sendAt, resp.Spans)
-			foldNodeResponse(resp, wire, deepQueryIdx[ni], "deep_batch")
+			foldNodeResponse(resp, wire, deepQueryIdx[ni])
 			mu.Lock()
 			defer mu.Unlock()
 			for slot, res := range resp.Batch {
@@ -274,7 +259,6 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 		Costs:         costs,
 		Total:         total,
 		BatchID:       batchID,
-		Degraded:      degraded,
 	}
 	for qi := range queries {
 		out.Results[qi] = merged[qi].Results()

@@ -1,7 +1,9 @@
 package distsearch
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"net"
 	"strings"
@@ -12,12 +14,12 @@ import (
 )
 
 // rawConn is one TCP connection to a node speaking the wire protocol by
-// hand, so a test controls exactly which connection carries which request
+// hand, so a test controls exactly which connection carries which bytes
 // (nodeClient would redial behind its back).
 type rawConn struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	br   *bufio.Reader
+	id   uint64
 }
 
 func dialRaw(t *testing.T, addr string) *rawConn {
@@ -27,22 +29,43 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
-	return &rawConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	return &rawConn{conn: conn, br: bufio.NewReader(conn)}
 }
 
-func (c *rawConn) exchange(t *testing.T, req *Request) *Response {
+// send writes frame as it is, however damaged.
+func (c *rawConn) send(t *testing.T, frame []byte) {
 	t.Helper()
 	if err := c.conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.enc.Encode(req); err != nil {
+	if _, err := c.conn.Write(frame); err != nil {
 		t.Fatalf("send: %v", err)
 	}
+}
+
+// recv reads one response frame; an error means the node closed the
+// connection (or sent something that is not a frame).
+func (c *rawConn) recv() (frameHeader, *Response, error) {
+	h, body, err := readFrame(c.br, nil)
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err == nil {
+		err = decodeResponse(body, &resp)
+	}
+	return h, &resp, err
+}
+
+func (c *rawConn) exchange(t *testing.T, req *Request) *Response {
+	t.Helper()
+	c.id++
+	c.send(t, appendRequest(nil, c.id, req))
+	h, resp, err := c.recv()
+	if err != nil {
 		t.Fatalf("recv (the node dropped the connection): %v", err)
 	}
-	return &resp
+	if h.op != req.Op || h.id != c.id {
+		t.Fatalf("response (op %d, id %d) does not echo request (op %d, id %d)", h.op, h.id, req.Op, c.id)
+	}
+	return resp
 }
 
 // TestMalformedRequestsDoNotKillNode is the ROADMAP item 1 bounds regression:
@@ -50,6 +73,12 @@ func (c *rawConn) exchange(t *testing.T, req *Request) *Response {
 // node process. Every out-of-range request must come back as an error
 // response, and the node must keep serving — on the connection that carried
 // the bad request and on a fresh one.
+//
+// Damaged frames follow. A fault the framing survives (checksum, unknown op,
+// a body that does not parse) gets an error response and the connection
+// keeps serving; a fault that loses the framing (magic, length, truncation)
+// closes the connection. Either way a fresh connection is served. A frame of
+// another version is TestRequestWireCompat's.
 func TestMalformedRequestsDoNotKillNode(t *testing.T) {
 	_, lc, _, c := cluster(t, 600, 2)
 	addr := lc.Addrs()[0]
@@ -102,6 +131,92 @@ func TestMalformedRequestsDoNotKillNode(t *testing.T) {
 	resp := conn.exchange(t, &Request{Op: OpDeep, Query: q, K: maxRequestK, NProbe: maxRequestNProbe})
 	if resp.Err != "" || len(resp.Neighbors) != info.Size {
 		t.Fatalf("k=%d: err=%q, %d neighbors, want all %d live vectors", maxRequestK, resp.Err, len(resp.Neighbors), info.Size)
+	}
+
+	damaged := func(edit func(f []byte) []byte) []byte {
+		return edit(appendRequest(nil, 7, good))
+	}
+	faults := []struct {
+		name   string
+		frame  []byte
+		intact bool
+	}{
+		{"bad magic", damaged(func(f []byte) []byte { f[0] = 'X'; return f }), false},
+		{"length over the cap", damaged(func(f []byte) []byte {
+			binary.LittleEndian.PutUint32(f[12:], maxFrameBody+1)
+			return f
+		}), false},
+		{"truncated body", damaged(func(f []byte) []byte { return f[:len(f)-3] }), false},
+		{"checksum mismatch", damaged(func(f []byte) []byte { f[headerSize+5] ^= 0x40; return f }), true},
+		{"unknown op", damaged(func(f []byte) []byte { f[3] = 0xee; return f }), true},
+		{"trailing byte", damaged(func(f []byte) []byte { return sealFrame(append(f, 0), 0) }), true},
+	}
+	for _, fault := range faults {
+		conn := dialRaw(t, addr)
+		conn.send(t, fault.frame)
+		if fault.name == "truncated body" {
+			// The node waits for the rest of the body until the peer's
+			// half of the connection ends.
+			if err := conn.conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, resp, err := conn.recv()
+		if fault.intact {
+			if err != nil || resp.Err == "" || h.id != 7 {
+				t.Fatalf("%s: got id %d, err=%v, response error %q; want an error response to id 7", fault.name, h.id, err, resp.Err)
+			}
+			checkServes(conn, "same connection after "+fault.name)
+		} else if err == nil {
+			t.Fatalf("%s: the node kept a connection whose framing is lost", fault.name)
+		}
+		checkServes(dialRaw(t, addr), "fresh connection after "+fault.name)
+	}
+}
+
+// TestRequestWireCompat is the version rule from the node's side: a request
+// frame of another protocol version is answered with an error frame in the
+// node's own version, naming both, and then the connection is closed. The
+// node goes on serving requests of its own version.
+func TestRequestWireCompat(t *testing.T) {
+	_, lc, _, _ := cluster(t, 300, 2)
+	addr := lc.Addrs()[0]
+	conn := dialRaw(t, addr)
+	frame := appendRequest(nil, 5, &Request{Op: OpInfo})
+	frame[2] = wireVersion + 1
+	conn.send(t, frame)
+	h, resp, err := conn.recv()
+	if err != nil || h.op != OpInfo || h.id != 5 {
+		t.Fatalf("got op %d, id %d, err=%v; want an error frame answering op %d, id 5", h.op, h.id, err, OpInfo)
+	}
+	for _, v := range []int{wireVersion, wireVersion + 1} {
+		if !strings.Contains(resp.Err, fmt.Sprintf("v%d", v)) {
+			t.Errorf("response error %q does not name v%d", resp.Err, v)
+		}
+	}
+	if _, _, err := conn.recv(); err == nil {
+		t.Fatal("the node kept a connection that spoke another wire version")
+	}
+	if resp := dialRaw(t, addr).exchange(t, &Request{Op: OpInfo}); resp.Err != "" || resp.Dim != 16 {
+		t.Fatalf("fresh connection: err=%q dim=%d, want a normal OpInfo answer", resp.Err, resp.Dim)
+	}
+}
+
+// TestDialRefusesOtherWireVersion is the version rule from the dialing
+// side: a node answering the OpInfo handshake in another protocol version
+// fails the dial with an error naming both versions.
+func TestDialRefusesOtherWireVersion(t *testing.T) {
+	addr, stop := fakeNode(t, speaks(wireVersion+1), func(int, *Request) *Response { return infoResponse(4) })
+	defer stop()
+	co, err := Dial([]string{addr}, time.Second)
+	if err == nil {
+		_ = co.Close() // lets stop return
+		t.Fatal("dial accepted a node of another wire version")
+	}
+	for _, v := range []int{wireVersion, wireVersion + 1} {
+		if !strings.Contains(err.Error(), fmt.Sprintf("v%d", v)) {
+			t.Errorf("dial error %q does not name v%d", err, v)
+		}
 	}
 }
 

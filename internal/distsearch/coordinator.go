@@ -1,7 +1,7 @@
 package distsearch
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -22,17 +22,22 @@ import (
 type nodeClient struct {
 	addr string
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
 	mu   sync.Mutex
 
-	// broken marks the connection poisoned after a transport failure. The
-	// wire protocol has no correlation ID, so once an exchange fails the
-	// gob stream is unusable: a node that finishes a timed-out request
-	// late still writes its response, and the next decode on the same
-	// connection would silently take that stale response as the reply to
-	// a NEW request. The failing exchange therefore closes the socket (so
-	// the late reply has nowhere to land) and the next round-trip redials.
+	// br reads response frames; wbuf and rbuf are the request frame and the
+	// response body, each reused at the largest frame seen. lastID is the
+	// request ID of the latest exchange, which its response must echo.
+	br     *bufio.Reader
+	wbuf   []byte
+	rbuf   []byte
+	lastID uint64
+
+	// broken marks the connection poisoned after a transport failure. Once
+	// an exchange fails, the stream position is unknown: a node that
+	// finishes a timed-out request late still writes its response. The
+	// echoed request ID would expose that stale reply, but a connection
+	// that cannot be trusted to be in step is not worth keeping, so the
+	// failing exchange closes the socket and the next round-trip redials.
 	broken bool
 
 	// dialTimeout bounds the TCP dial and the OpInfo handshake, for both
@@ -58,10 +63,10 @@ type nodeClient struct {
 	// imbalance gauge and the DVFS energy collector.
 	deepLoad atomic.Int64
 
-	// wireBytes accumulates every byte sent to or received from this node
-	// (fed by the counting codec wrappers). Because the per-connection mutex
-	// serializes exchanges, the counter's delta across one round-trip is that
-	// request's exact wire cost — the WireBytes source of the query ledger.
+	// wireBytes accumulates every frame byte sent to or received from this
+	// node. Because the per-connection mutex serializes exchanges, the
+	// counter's delta across one round-trip is that request's exact wire
+	// cost — the WireBytes source of the query ledger.
 	wireBytes atomic.Int64
 }
 
@@ -71,15 +76,10 @@ func dialNode(addr string, timeout, rtTimeout time.Duration, cm *coordMetrics, e
 		ev.Warn("node.dial", evlog.Str("addr", addr), evlog.Err(err))
 		return nil, fmt.Errorf("distsearch: dial %s: %w", addr, err)
 	}
-	c := &nodeClient{addr: addr, conn: conn, dialTimeout: timeout, rtTimeout: rtTimeout, cm: cm, ev: ev}
-	// The handshake runs before the shard ID is known, so wire byte counts
-	// attach to the codec only afterwards; the gob codec itself must be
-	// constructed exactly once per connection (it streams type state).
-	c.met = clientMetrics{}
-	sent := &countingWriter{w: conn, n: &c.wireBytes}
-	recv := &countingReader{r: conn, n: &c.wireBytes}
-	c.enc = gob.NewEncoder(sent)
-	c.dec = gob.NewDecoder(recv)
+	c := &nodeClient{addr: addr, conn: conn, br: bufio.NewReader(conn), dialTimeout: timeout, rtTimeout: rtTimeout, cm: cm, ev: ev}
+	// The handshake runs before the shard ID is known, so its bytes reach
+	// only wireBytes, not the per-node counters. A node of another wire
+	// version fails it with an error naming both versions.
 	info, err := c.roundTrip(&Request{Op: OpInfo})
 	if err != nil {
 		//lint:ignore errdrop the handshake already failed; Close is best-effort cleanup
@@ -91,8 +91,6 @@ func dialNode(addr string, timeout, rtTimeout time.Duration, cm *coordMetrics, e
 	c.dim = info.Dim
 	c.centroid = info.Centroid
 	c.met = newClientMetrics(cm.reg, c.shardID)
-	sent.c = c.met.sent
-	recv.c = c.met.recv
 	ev.Info("node.dial", evlog.Str("addr", addr), evlog.Int("shard", int64(c.shardID)))
 	return c, nil
 }
@@ -107,9 +105,9 @@ func (c *nodeClient) roundTrip(req *Request) (*Response, error) {
 }
 
 // roundTripBytes is roundTrip plus the exchange's exact wire cost in bytes
-// (request sent + response received, measured under the gob codec). The
-// delta is read inside the per-connection mutex, so concurrent queries on
-// the same connection cannot bleed into each other's accounting.
+// (request frame sent + response frame received). The delta is read inside
+// the per-connection mutex, so concurrent queries on the same connection
+// cannot bleed into each other's accounting.
 func (c *nodeClient) roundTripBytes(req *Request) (resp *Response, wire int64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -145,7 +143,7 @@ func (c *nodeClient) roundTripBytes(req *Request) (resp *Response, wire int64, e
 		// round-trips are otherwise deadline-free.
 		timeout = c.dialTimeout
 	}
-	//lint:ignore lockheldio the per-connection mutex exists to serialize gob exchanges on one stateful stream; concurrency comes from many nodeClients, not many requests per conn
+	//lint:ignore lockheldio the per-connection mutex keeps one frame exchange in flight per conn, which is what pairs a response with its request; concurrency comes from many nodeClients, not many requests per conn
 	resp, err = c.exchangeLocked(req, timeout)
 	if err != nil {
 		return nil, 0, err
@@ -160,10 +158,11 @@ func (c *nodeClient) roundTripBytes(req *Request) (resp *Response, wire int64, e
 	return resp, 0, nil
 }
 
-// exchangeLocked runs one encode/decode under an optional I/O deadline. Any
-// transport failure abandons the connection via breakLocked — the gob stream
-// is out of sync, so reusing it would pair stale responses with future
-// requests.
+// exchangeLocked sends one request frame with one Write and reads its
+// response frame, under an optional I/O deadline. Any transport failure —
+// including a damaged frame or one that does not echo the request's op and
+// ID — abandons the connection via breakLocked, since the stream can no
+// longer be trusted to pair responses with requests.
 func (c *nodeClient) exchangeLocked(req *Request, timeout time.Duration) (*Response, error) {
 	if timeout > 0 {
 		if err := c.conn.SetDeadline(now().Add(timeout)); err != nil {
@@ -175,12 +174,28 @@ func (c *nodeClient) exchangeLocked(req *Request, timeout time.Duration) (*Respo
 		// the error paths, which close the socket anyway).
 		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	}
-	if err := c.enc.Encode(req); err != nil {
+	c.lastID++
+	c.wbuf = appendRequest(c.wbuf[:0], c.lastID, req)
+	sent, err := c.conn.Write(c.wbuf)
+	c.met.sent.Add(int64(sent))
+	c.wireBytes.Add(int64(sent))
+	if err != nil {
 		c.breakLocked(err)
 		return nil, fmt.Errorf("distsearch: send to %s: %w", c.addr, err)
 	}
+	h, body, err := readFrame(c.br, c.rbuf)
+	c.rbuf = body
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err == nil {
+		c.met.recv.Add(int64(headerSize + len(body)))
+		c.wireBytes.Add(int64(headerSize + len(body)))
+		if h.op != req.Op || h.id != c.lastID {
+			err = fmt.Errorf("response (op %d, id %d) does not answer request (op %d, id %d)", h.op, h.id, req.Op, c.lastID)
+		} else {
+			err = decodeResponse(body, &resp)
+		}
+	}
+	if err != nil {
 		c.breakLocked(err)
 		return nil, fmt.Errorf("distsearch: recv from %s: %w", c.addr, err)
 	}
@@ -214,11 +229,10 @@ func (c *nodeClient) abandonLocked() {
 	c.conn.Close()
 }
 
-// redialLocked replaces a broken connection with a fresh dial and handshake.
-// Fresh gob codecs are built on the new socket (the old stream state is
-// unusable) and wired through the existing byte counters. The node must
-// still present the same shard: a different shard ID or dimensionality at
-// the address means the cluster changed underneath the coordinator, whose
+// redialLocked replaces a broken connection with a fresh dial and handshake,
+// reading through the same (reset) buffered reader. The node must still
+// present the same shard: a different shard ID or dimensionality at the
+// address means the cluster changed underneath the coordinator, whose
 // routing state (centroids, per-shard metric labels) would silently lie.
 func (c *nodeClient) redialLocked() error {
 	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
@@ -230,8 +244,7 @@ func (c *nodeClient) redialLocked() error {
 		return err
 	}
 	c.conn = conn
-	c.enc = gob.NewEncoder(&countingWriter{w: conn, c: c.met.sent, n: &c.wireBytes})
-	c.dec = gob.NewDecoder(&countingReader{r: conn, c: c.met.recv, n: &c.wireBytes})
+	c.br.Reset(conn)
 	c.broken = false
 	info, err := c.exchangeLocked(&Request{Op: OpInfo}, c.dialTimeout)
 	if err != nil {
@@ -302,8 +315,7 @@ func (co *Coordinator) SetLenient(lenient bool) { co.lenient = lenient }
 // requests carry Request.Grouped, asking each node to run the sub-batch
 // through the multi-query grouped cell scan (queries probing the same IVF
 // cell share one code stream). The result sets are identical either way —
-// the flag only changes node-side execution — so it is safe against old
-// nodes, which drop the unknown field and serve the batch per-query.
+// the flag only changes node-side execution.
 // Call before issuing searches; not synchronized with in-flight batches.
 func (co *Coordinator) SetGrouped(grouped bool) { co.grouped = grouped }
 
@@ -465,9 +477,9 @@ type Result struct {
 	// SampleLatency and DeepLatency are the wall times of the two phases.
 	SampleLatency, DeepLatency time.Duration
 	// Cost is the query's assembled resource-attribution ledger: node-side
-	// cells/codes/scan-time from the wire responses (zeroes when every node
-	// predates the v6 ledger) plus the coordinator-measured wire bytes of
-	// the round-trips that served this query.
+	// cells/codes/scan-time from the wire responses plus the
+	// coordinator-measured wire bytes of the round-trips that served this
+	// query.
 	Cost telemetry.QueryCost
 }
 

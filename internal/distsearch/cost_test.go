@@ -1,9 +1,6 @@
 package distsearch
 
 import (
-	"bytes"
-	"encoding/gob"
-	"net"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
@@ -11,72 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/corpus"
-	"repro/internal/evlog"
 	"repro/internal/hermes"
 	"repro/internal/telemetry"
-	"repro/internal/vec"
 )
-
-// v5Response is the Response schema as of PR 8 — everything up to Families,
-// without the v6 Costs/GroupedExec appends — i.e. what a node running the
-// previous release encodes and decodes.
-type v5Response struct {
-	Err      string
-	Size     int
-	Dim      int
-	Centroid []float32
-	Results  []vec.Neighbor
-	Batch    [][]vec.Neighbor
-	ShardID  int
-	Applied  int64
-	Compacts int64
-	Scanned  int64
-	Spans    []WireSpan
-	Families []telemetry.FamilySnapshot
-}
-
-// TestResponseWireCompatV5V6 proves the Costs/GroupedExec append is
-// gob-compatible in both directions: a v6 response decodes on a v5
-// coordinator (new fields dropped), and a v5 response decodes on a v6
-// coordinator (no ledger, GroupedExec false — the degrade signal).
-func TestResponseWireCompatV5V6(t *testing.T) {
-	v6 := Response{
-		ShardID: 3,
-		Batch:   [][]vec.Neighbor{{{ID: 1, Score: 0.5}}},
-		Costs: []telemetry.QueryCost{
-			{Cells: 4, SharedCells: 1, CodesExclusive: 10, CodesAmortized: 6, ScanNanos: 99},
-		},
-		GroupedExec: true,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v6); err != nil {
-		t.Fatal(err)
-	}
-	var oldSide v5Response
-	if err := gob.NewDecoder(&buf).Decode(&oldSide); err != nil {
-		t.Fatalf("v5 peer failed to decode a v6 response: %v", err)
-	}
-	if oldSide.ShardID != 3 || len(oldSide.Batch) != 1 {
-		t.Errorf("v5 decode mangled fields: %+v", oldSide)
-	}
-
-	buf.Reset()
-	old := v5Response{ShardID: 1, Batch: [][]vec.Neighbor{{{ID: 7}}}, Scanned: 42}
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	var newSide Response
-	if err := gob.NewDecoder(&buf).Decode(&newSide); err != nil {
-		t.Fatalf("v6 peer failed to decode a v5 response: %v", err)
-	}
-	if newSide.ShardID != 1 || newSide.Scanned != 42 {
-		t.Errorf("v6 decode of v5 response: %+v", newSide)
-	}
-	if newSide.GroupedExec || newSide.Costs != nil {
-		t.Errorf("v5 response must decode with no ledger and GroupedExec false: %+v", newSide)
-	}
-}
 
 // TestSearchBatchTracedGroupedNoFallback is the tentpole acceptance: a traced
 // grouped batch executes the grouped path on every node (no per-query
@@ -106,9 +40,6 @@ func TestSearchBatchTracedGroupedNoFallback(t *testing.T) {
 	}
 	if !reflect.DeepEqual(traced.Results, plain.Results) {
 		t.Fatal("traced grouped batch drifted from the untraced grouped answer")
-	}
-	if traced.Degraded != 0 || plain.Degraded != 0 {
-		t.Fatalf("current nodes reported degrades: traced=%d plain=%d", traced.Degraded, plain.Degraded)
 	}
 	// The traced batch moved the nodes' groupscan counters: grouped
 	// execution, not the old per-query fallback.
@@ -185,110 +116,6 @@ func groupscanTotal(regs []*telemetry.Registry) float64 {
 		total += reg.Snapshot()[`hermes_node_groupscan_queries_total{shard="`+strconv.Itoa(i)+`"}`]
 	}
 	return total
-}
-
-// TestGroupedDegradeObservable runs a grouped coordinator over a mixed
-// cluster and requires the silent degrade to become visible: the batch
-// reports it, the hermes_coordinator_group_degrade_total counter moves, and a
-// group.degrade event lands in the log — while results stay correct.
-func TestGroupedDegradeObservable(t *testing.T) {
-	const shards = 2
-	c, err := corpus.Generate(corpus.Spec{NumChunks: 700, Dim: 16, NumTopics: shards, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := hermes.Build(c.Vectors, hermes.BuildOptions{NumShards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewNode(0, st.Shards[0].Index, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.SetTelemetry(telemetry.NewRegistry())
-	if err := node.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	serveV4Node(t, ln, 1, st.Shards[1].Index)
-
-	reg := telemetry.NewRegistry()
-	ev := evlog.New(evlog.Config{Capacity: 64})
-	co, err := DialOpts([]string{node.Addr(), ln.Addr().String()}, DialOptions{
-		Timeout: time.Second, Telemetry: reg, Grouped: true, Events: ev,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	qs := c.Queries(10, 29)
-	queries := make([][]float32, qs.Vectors.Len())
-	for i := range queries {
-		queries[i] = qs.Vectors.Row(i)
-	}
-	res, err := co.SearchBatch(queries, hermes.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The old node answers the sample round (and possibly a deep round)
-	// without GroupedExec; the current node must not be counted.
-	if res.Degraded < 1 {
-		t.Fatalf("Degraded = %d, want >= 1 for a mixed cluster", res.Degraded)
-	}
-	if got := reg.Snapshot()["hermes_coordinator_group_degrade_total"]; got != float64(res.Degraded) {
-		t.Fatalf("group_degrade_total = %v, want %d", got, res.Degraded)
-	}
-	found := false
-	for _, e := range ev.Events() {
-		if e.Name == "group.degrade" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no group.degrade event emitted")
-	}
-	// The degraded queries keep a wire-byte floor in the ledger even though
-	// the old node shipped no cost entries.
-	for i, cst := range res.Costs {
-		if cst.WireBytes <= 0 {
-			t.Fatalf("degraded query %d lost its wire-byte floor: %+v", i, cst)
-		}
-	}
-
-	// An all-current cluster run in the same process keeps the counter
-	// untouched (no false degrades).
-	before := reg.Snapshot()["hermes_coordinator_group_degrade_total"]
-	node2, err := NewNode(1, st.Shards[1].Index, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node2.SetTelemetry(telemetry.NewRegistry())
-	if err := node2.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer node2.Close()
-	co2, err := DialOpts([]string{node.Addr(), node2.Addr()}, DialOptions{
-		Timeout: time.Second, Telemetry: reg, Grouped: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co2.Close()
-	if res2, err := co2.SearchBatch(queries, hermes.DefaultParams()); err != nil {
-		t.Fatal(err)
-	} else if res2.Degraded != 0 {
-		t.Fatalf("all-current cluster reported %d degrades", res2.Degraded)
-	}
-	if after := reg.Snapshot()["hermes_coordinator_group_degrade_total"]; after != before {
-		t.Fatalf("degrade counter moved on an all-current cluster: %v -> %v", before, after)
-	}
 }
 
 // TestGroupedBatchE2EDebugQueries is the real-TCP end-to-end: a traced

@@ -2,6 +2,7 @@ package distsearch
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,6 +38,45 @@ func cluster(t testing.TB, chunks, shards int) (*hermes.Store, *LocalCluster, *C
 		lc.Close()
 	})
 	return st, lc, co, c
+}
+
+// BenchmarkCoordinatorSearch is the LaunchLocal serving loop at hermes-perf's
+// wire_bound shape (8000 × dim 32 on 10 shards, two clients): whole queries
+// through the coordinator, loopback TCP and the nodes. DESIGN.md's
+// per-exchange CPU breakdown comes from
+//
+//	go test -run '^$' -bench CoordinatorSearch -cpuprofile cpu.out ./internal/distsearch/
+func BenchmarkCoordinatorSearch(b *testing.B) {
+	c, err := corpus.Generate(corpus.Spec{NumChunks: 8000, Dim: 32, NumTopics: 16, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := hermes.Build(c.Vectors, hermes.BuildOptions{NumShards: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lc, err := LaunchLocal(st, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lc.Close()
+	co, err := Dial(lc.Addrs(), time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer co.Close()
+	qs := c.Queries(256, 9)
+	p := hermes.Params{K: 5, SampleNProbe: 4, DeepNProbe: 16, DeepClusters: 3}
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := co.Search(qs.Vectors.Row(int(next.Add(1)%256)), p); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 func TestCoordinatorInfo(t *testing.T) {
@@ -264,6 +304,11 @@ func TestLenientSurvivesNodeFailure(t *testing.T) {
 	}
 	if served != qs.Vectors.Len() {
 		t.Fatalf("lenient mode served %d/%d queries", served, qs.Vectors.Len())
+	}
+	// Federation leaves an unreachable node out of the cluster view rather
+	// than failing it.
+	if view := co.ClusterMetrics(); len(view.Missing) != 1 || view.Missing[0] != 0 || len(view.Nodes) != 5 {
+		t.Fatalf("cluster view Missing=%v with %d nodes, want shard 0 missing and 5 contributing", view.Missing, len(view.Nodes))
 	}
 }
 

@@ -21,9 +21,9 @@ type ClusterView struct {
 	Merged []telemetry.FamilySnapshot
 	// Nodes holds each contributing node's unmerged export, shard-labeled.
 	Nodes []NodeFamilies
-	// Missing lists shard IDs that did not contribute: nodes predating
-	// OpMetricsSnap (federation gracefully absent) or unreachable at
-	// snapshot time. The merged view simply covers fewer shards.
+	// Missing lists shard IDs that did not contribute because they were
+	// unreachable at snapshot time. The merged view simply covers fewer
+	// shards.
 	Missing []int
 }
 
@@ -36,9 +36,8 @@ type NodeFamilies struct {
 // ClusterMetrics pulls every node's metric export over OpMetricsSnap (in
 // parallel), merges them with the coordinator's own registry, and returns
 // the federated view. Federation is observability, not serving: a node that
-// cannot contribute — too old for the op, or currently unreachable — lands
-// in Missing instead of failing the snapshot, so a v(N-1) node behind a vN
-// coordinator degrades to a narrower view with no error.
+// is currently unreachable lands in Missing instead of failing the snapshot,
+// which degrades to a narrower view with no error.
 func (co *Coordinator) ClusterMetrics() *ClusterView {
 	type pull struct {
 		shardID  int
@@ -161,7 +160,7 @@ func (co *Coordinator) ServeClusterMetrics(w http.ResponseWriter, r *http.Reques
 		for _, s := range view.Missing {
 			missing = append(missing, strconv.Itoa(s))
 		}
-		fmt.Fprintf(w, "# shards not contributing (no federation support or unreachable): [%s]\n",
+		fmt.Fprintf(w, "# shards not contributing (unreachable): [%s]\n",
 			strings.Join(missing, ","))
 	}
 	if err := telemetry.WriteFamiliesPrometheus(w, view.Merged); err != nil {

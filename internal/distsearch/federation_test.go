@@ -1,10 +1,9 @@
 package distsearch
 
 import (
-	"bytes"
-	"encoding/gob"
 	"net"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,70 +14,48 @@ import (
 	"repro/internal/hermes"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
-	"repro/internal/vec"
 )
 
-// v3Response is the Response schema as of PR 4 — everything up to Spans,
-// without Families — i.e. what a node running the previous release encodes
-// and decodes.
-type v3Response struct {
-	Err                                       string
-	ShardID, Size, Dim                        int
-	Neighbors                                 []vec.Neighbor
-	Batch                                     [][]vec.Neighbor
-	Centroid                                  []float32
-	OK                                        bool
-	SampleServed, DeepServed, MutationsServed int64
-	Tombstones                                int
-	ServerNanos                               int64
-	Telemetry                                 map[string]float64
-	Scanned                                   int64
-	Spans                                     []WireSpan
-}
-
-// TestResponseWireCompatV3V4 proves the Families append is gob-compatible
-// in both directions: a v4 response decodes on a v3 peer (Families dropped),
-// and a v3 response decodes on a v4 peer (Families nil).
+// TestResponseWireCompatV3V4 follows metric families, the response field
+// named for the protocol revision that added it, end to end: what a real
+// node's registry exports reaches the coordinator's cluster view unchanged,
+// counters and histograms alike.
 func TestResponseWireCompatV3V4(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	reg.Counter("hermes_test_requests_total", "r").Add(7)
-	v4 := Response{
-		ShardID:  3,
-		Scanned:  42,
-		Spans:    []WireSpan{{Name: "list_scan", Node: 3, DurNanos: 5}},
-		Families: reg.Export(),
+	_, co, regs := groupedCluster(t, 2, DialOptions{})
+	regs[1].Counter("hermes_test_requests_total", "r").Add(7)
+	h := regs[1].Histogram("hermes_test_seconds", "s", []float64{0.001, 0.1, 10})
+	for _, v := range []float64{0.0005, 0.05, 3, 42} {
+		h.Observe(v)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v4); err != nil {
-		t.Fatal(err)
+	testFamilies := func(fs []telemetry.FamilySnapshot) []telemetry.FamilySnapshot {
+		var out []telemetry.FamilySnapshot
+		for _, f := range fs {
+			if strings.HasPrefix(f.Name, "hermes_test_") {
+				out = append(out, f)
+			}
+		}
+		return out
 	}
-	var oldSide v3Response
-	if err := gob.NewDecoder(&buf).Decode(&oldSide); err != nil {
-		t.Fatalf("v3 peer failed to decode a v4 response: %v", err)
+	want := testFamilies(regs[1].Export())
+	if len(want) != 2 {
+		t.Fatalf("registry exports %d test families, want 2", len(want))
 	}
-	if oldSide.ShardID != 3 || oldSide.Scanned != 42 || len(oldSide.Spans) != 1 {
-		t.Errorf("v3 decode mangled fields: %+v", oldSide)
+	view := co.ClusterMetrics()
+	for _, nf := range view.Nodes {
+		if nf.ShardID == 1 {
+			if got := testFamilies(nf.Families); !reflect.DeepEqual(got, want) {
+				t.Fatalf("families changed crossing the wire:\n sent %+v\n  got %+v", want, got)
+			}
+			return
+		}
 	}
-
-	buf.Reset()
-	old := v3Response{ShardID: 5, ServerNanos: 99, Scanned: 7}
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	var newSide Response
-	if err := gob.NewDecoder(&buf).Decode(&newSide); err != nil {
-		t.Fatalf("v4 peer failed to decode a v3 response: %v", err)
-	}
-	if newSide.ShardID != 5 || newSide.Scanned != 7 || newSide.Families != nil {
-		t.Errorf("v4 decode of v3 response: %+v", newSide)
-	}
+	t.Fatalf("shard 1 missing from the cluster view: %+v", view.Missing)
 }
 
-// TestMixedVersionFederationDegrades runs a vN coordinator over one real
-// (current) node and one v2-era stub node: queries must keep working, and
-// ClusterMetrics must report the old shard as missing — local-only
-// degradation, never an error.
-func TestMixedVersionFederationDegrades(t *testing.T) {
+// mixedCluster is a lenient coordinator over a cluster caught mid-rollout:
+// a real node for shard 0 and an upgradedNode for shard 1.
+func mixedCluster(t *testing.T) (*corpus.Corpus, *Coordinator) {
+	t.Helper()
 	const dim = 16
 	c, err := corpus.Generate(corpus.Spec{NumChunks: 400, Dim: dim, NumTopics: 2, Seed: 5})
 	if err != nil {
@@ -88,54 +65,54 @@ func TestMixedVersionFederationDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodeReg := telemetry.NewRegistry()
 	node, err := NewNode(0, st.Shards[0].Index, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node.SetTelemetry(nodeReg)
+	node.SetTelemetry(telemetry.NewRegistry())
 	if err := node.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	t.Cleanup(func() { _ = node.Close() })
+	addr, stop := upgradedNode(t, 1, dim)
+	t.Cleanup(stop)
+	co, err := DialOpts([]string{node.Addr(), addr},
+		DialOptions{Timeout: time.Second, Telemetry: telemetry.NewRegistry(), Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	serveV2Node(t, ln, 1, dim)
+	t.Cleanup(func() { _ = co.Close() })
+	return c, co
+}
 
-	co, err := DialOpts([]string{node.Addr(), ln.Addr().String()},
-		DialOptions{Timeout: time.Second, Telemetry: telemetry.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
+// TestMixedVersionFederationDegrades: once shard 1 restarts as another wire
+// version, federation leaves it out of the cluster view, both for the
+// restart's dropped connection and for each redial the version check
+// refuses, while the real node keeps contributing and lenient queries keep
+// being served by it. Never an error.
+func TestMixedVersionFederationDegrades(t *testing.T) {
+	c, co := mixedCluster(t)
+	for i := 0; i < 2; i++ {
+		view := co.ClusterMetrics()
+		if len(view.Missing) != 1 || view.Missing[0] != 1 {
+			t.Errorf("pull %d: Missing = %v, want [1] (the upgraded node)", i, view.Missing)
+		}
+		if len(view.Nodes) != 1 || view.Nodes[0].ShardID != 0 {
+			t.Fatalf("pull %d: contributing nodes = %+v, want shard 0 only", i, view.Nodes)
+		}
+		flat := telemetry.FlattenFamilies(view.Merged)
+		if flat[`hermes_node_requests_total{op="info",shard="0"}`] == 0 {
+			t.Errorf("pull %d: merged view missing the real node's request counters: %v", i, flat)
+		}
 	}
-	defer co.Close()
-
-	// The old node still serves queries under the new coordinator.
 	p := hermes.DefaultParams()
 	p.DeepClusters = 2
-	if _, err := co.Search(c.Queries(1, 3).Vectors.Row(0), p); err != nil {
-		t.Fatalf("mixed-version query: %v", err)
+	res, err := co.Search(c.Queries(1, 3).Vectors.Row(0), p)
+	if err != nil {
+		t.Fatalf("lenient query over the mixed cluster: %v", err)
 	}
-
-	view := co.ClusterMetrics()
-	if len(view.Missing) != 1 || view.Missing[0] != 1 {
-		t.Errorf("Missing = %v, want [1] (the v2 node)", view.Missing)
-	}
-	if len(view.Nodes) != 1 || view.Nodes[0].ShardID != 0 {
-		t.Fatalf("contributing nodes = %+v, want shard 0 only", view.Nodes)
-	}
-	flat := telemetry.FlattenFamilies(view.Merged)
-	if flat[`hermes_node_requests_total{op="info",shard="0"}`] == 0 {
-		t.Errorf("merged view missing the real node's request counters: %v", flat)
-	}
-
-	// The degraded pull must not have poisoned the old node's connection:
-	// another query still works.
-	if _, err := co.Search(c.Queries(1, 4).Vectors.Row(0), p); err != nil {
-		t.Fatalf("query after degraded federation pull: %v", err)
+	if len(res.Neighbors) == 0 || !reflect.DeepEqual(res.DeepNodes, []int{0}) {
+		t.Fatalf("got %d neighbors from shards %v, want results from shard 0 alone", len(res.Neighbors), res.DeepNodes)
 	}
 }
 

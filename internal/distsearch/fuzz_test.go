@@ -1,32 +1,27 @@
 package distsearch
 
-// Fuzz targets for the two wire envelopes. Both ends of the protocol feed a
-// gob decoder straight from a TCP peer (Node.serveConn, Coordinator), so the
-// decode path must tolerate arbitrary bytes: a malformed or truncated stream
-// may only yield an error, never a panic or a runaway allocation. The seeds
-// are valid encodes of fully-populated envelopes plus deliberately corrupted
-// variants of them — truncation, bit flips, and an inflated gob length
-// prefix — so even `go test` (which runs only the seed corpus) exercises the
-// interesting classes.
+// Fuzz targets for the two frame decoders. Both ends of the protocol read
+// frames straight from a TCP peer (Node.serveConn, nodeClient), so decoding
+// must tolerate arbitrary bytes: a malformed, truncated or damaged frame may
+// only yield an error, never a panic or an allocation the input does not pay
+// for. Every value has one encoding, so whatever decodes must re-encode to
+// exactly the bytes it came from. The seeds are a valid frame of a
+// fully-populated envelope plus one damaged variant per fault class, so even
+// `go test` (which runs only the seed corpus) exercises each class.
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/vec"
 )
 
-// fuzzInputCap bounds the byte stream handed to the decoder. gob length
-// prefixes are attacker-controlled, but the decoder's own allocation is
-// bounded by input length for the sizes we feed; the cap keeps the fuzz
-// engine from chasing multi-megabyte inputs that only slow exploration.
-const fuzzInputCap = 1 << 20
-
-// seedRequest is a fully-populated Request: every field non-zero so the gob
-// stream carries every field delta and the corrupted variants can land in
-// any of them.
+// seedRequest is a fully-populated Request: every field non-zero so the
+// damaged variants can land in any of them.
 func seedRequest() *Request {
 	return &Request{
 		Op:      OpDeepBatch,
@@ -60,71 +55,68 @@ func seedResponse() *Response {
 			Name: "hermes_test_total", Kind: telemetry.KindCounter,
 			Series: []telemetry.SeriesSnapshot{{Value: 42}},
 		}},
-		Costs:       []telemetry.QueryCost{{Cells: 2, CodesExclusive: 100, CodesAmortized: 50}},
-		GroupedExec: true,
+		Costs: []telemetry.QueryCost{{Cells: 2, CodesExclusive: 100, CodesAmortized: 50}},
 	}
 }
 
-// mustEncode renders v as one gob stream (descriptors + value), the exact
-// bytes a fresh per-connection encoder would emit.
-func mustEncode(f *testing.F, v any) []byte {
-	f.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		f.Fatalf("encoding seed: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// addSeeds registers the valid stream plus corrupted variants: a truncated
-// prefix, a flipped byte in the middle (type descriptor region) and near the
-// end (value region), and a rewritten first byte — gob's message length —
-// claiming a far larger payload than follows.
+// addSeeds registers the valid frame plus one variant per fault class: a
+// truncated frame, a flipped body bit (checksum mismatch), a length over the
+// cap, another protocol version, and an unknown op.
 func addSeeds(f *testing.F, valid []byte) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	for _, at := range []int{len(valid) / 2, len(valid) - 2} {
-		mut := bytes.Clone(valid)
-		mut[at] ^= 0x40
-		f.Add(mut)
+	flipped := bytes.Clone(valid)
+	flipped[headerSize+(len(valid)-headerSize)/2] ^= 0x40
+	f.Add(flipped)
+	inflated := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(inflated[12:], maxFrameBody+1)
+	f.Add(inflated)
+	version := bytes.Clone(valid)
+	version[2]++
+	f.Add(version)
+	op := bytes.Clone(valid)
+	op[3] = 0xee
+	f.Add(op)
+}
+
+// asFrame reads data as one frame. Input that is not a frame is taken as a
+// bare body instead, so random bytes also reach the body decoders
+// past the checksum. Either way the body must decode to an error or to a
+// value that re-encodes to it, and a frame's header then re-encodes too:
+// magic and version are fixed, op and ID are echoed, length and checksum
+// follow from the body.
+func asFrame(data []byte) (frameHeader, []byte) {
+	h, body, err := readFrame(bufio.NewReader(bytes.NewReader(data)), nil)
+	if err != nil {
+		return frameHeader{op: OpDeepBatch}, data
 	}
-	huge := bytes.Clone(valid)
-	huge[0] = 0x7f
-	f.Add(huge)
-	f.Add([]byte{})
+	return h, body
 }
 
 func FuzzRequestDecode(f *testing.F) {
-	addSeeds(f, mustEncode(f, seedRequest()))
+	addSeeds(f, appendRequest(nil, 42, seedRequest()))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > fuzzInputCap {
-			t.Skip("beyond decode input cap")
-		}
+		h, body := asFrame(data)
 		var req Request
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+		if decodeRequest(h.op, body, &req) != nil {
 			return
 		}
-		// Anything that decoded must re-encode: the node echoes request
-		// fields (Queries alignment, TraceID) into its handling path and a
-		// decoded envelope that cannot round-trip would wedge serveConn.
-		if err := gob.NewEncoder(bytes.NewBuffer(nil)).Encode(&req); err != nil {
-			t.Fatalf("decoded Request does not re-encode: %v", err)
+		if got := appendRequest(nil, h.id, &req)[headerSize:]; !bytes.Equal(got, body) {
+			t.Fatalf("decoded request re-encodes differently:\n got %x\nwant %x", got, body)
 		}
 	})
 }
 
 func FuzzResponseDecode(f *testing.F) {
-	addSeeds(f, mustEncode(f, seedResponse()))
+	addSeeds(f, appendResponse(nil, 42, OpDeepBatch, seedResponse(), time.Time{}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > fuzzInputCap {
-			t.Skip("beyond decode input cap")
-		}
+		h, body := asFrame(data)
 		var resp Response
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&resp); err != nil {
+		if decodeResponse(body, &resp) != nil {
 			return
 		}
-		if err := gob.NewEncoder(bytes.NewBuffer(nil)).Encode(&resp); err != nil {
-			t.Fatalf("decoded Response does not re-encode: %v", err)
+		if got := appendResponse(nil, h.id, h.op, &resp, time.Time{})[headerSize:]; !bytes.Equal(got, body) {
+			t.Fatalf("decoded response re-encodes differently:\n got %x\nwant %x", got, body)
 		}
 	})
 }

@@ -1,69 +1,18 @@
 package distsearch
 
 import (
-	"bytes"
-	"encoding/gob"
-	"net"
+	"fmt"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/hermes"
-	"repro/internal/ivf"
 	"repro/internal/telemetry"
 	"repro/internal/vec"
 )
-
-// v4Request is the Request schema as of PR 7 — everything up to TraceID,
-// without Grouped — i.e. what a node running the previous release decodes.
-type v4Request struct {
-	Op      Op
-	Query   []float32
-	K       int
-	NProbe  int
-	Queries [][]float32
-	ID      int64
-	TraceID uint64
-}
-
-// TestRequestWireCompatV4V5 proves the Grouped append is gob-compatible in
-// both directions: a v5 request decodes on a v4 peer (Grouped dropped), and
-// a v4 request decodes on a v5 peer (Grouped false).
-func TestRequestWireCompatV4V5(t *testing.T) {
-	v5 := Request{
-		Op:      OpDeepBatch,
-		K:       4,
-		NProbe:  8,
-		Queries: [][]float32{{1, 2}, {3, 4}},
-		Grouped: true,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v5); err != nil {
-		t.Fatal(err)
-	}
-	var oldSide v4Request
-	if err := gob.NewDecoder(&buf).Decode(&oldSide); err != nil {
-		t.Fatalf("v4 peer failed to decode a v5 request: %v", err)
-	}
-	if oldSide.Op != OpDeepBatch || oldSide.K != 4 || len(oldSide.Queries) != 2 {
-		t.Errorf("v4 decode mangled fields: %+v", oldSide)
-	}
-
-	buf.Reset()
-	old := v4Request{Op: OpSampleBatch, NProbe: 2, Queries: [][]float32{{5, 6}}}
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	var newSide Request
-	if err := gob.NewDecoder(&buf).Decode(&newSide); err != nil {
-		t.Fatalf("v5 peer failed to decode a v4 request: %v", err)
-	}
-	if newSide.Op != OpSampleBatch || newSide.Grouped {
-		t.Errorf("v5 decode of v4 request: %+v", newSide)
-	}
-}
 
 // groupedCluster builds a store, serves every shard from a real node, and
 // returns a coordinator plus the per-node registries.
@@ -152,62 +101,12 @@ func TestSearchBatchGroupedWire(t *testing.T) {
 	}
 }
 
-// serveV4Node runs an "old release" node for shard shardID backed by a real
-// index: it decodes the v4 request schema (no Grouped field — gob drops the
-// new coordinator's flag on the floor) and serves batch ops per-query, the
-// pre-grouping behavior.
-func serveV4Node(t *testing.T, ln net.Listener, shardID int, ix *ivf.Index) {
-	t.Helper()
-	//lint:ignore goroutinectx accept loop exits when the test's deferred ln.Close unblocks Accept
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			//lint:ignore goroutinectx per-conn handler exits when the coordinator closes the conn at test end
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req v4Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := Response{ShardID: shardID}
-					switch req.Op {
-					case OpInfo:
-						resp.Size = ix.Len()
-						resp.Dim = ix.Dim()
-						resp.Centroid = make([]float32, ix.Dim())
-					case OpSampleBatch:
-						resp.Batch = make([][]vec.Neighbor, len(req.Queries))
-						for i, q := range req.Queries {
-							resp.Batch[i] = ix.Search(q, 1, req.NProbe)
-						}
-					case OpDeepBatch:
-						resp.Batch = make([][]vec.Neighbor, len(req.Queries))
-						for i, q := range req.Queries {
-							resp.Batch[i] = ix.Search(q, req.K, req.NProbe)
-						}
-					default:
-						resp.Err = "unsupported op"
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-}
-
-// TestGroupedOldNodeDegrades runs a grouped coordinator over a mixed
-// cluster — one current node and one previous-release node that has never
-// heard of Request.Grouped — and requires the batch to come back identical
-// to the all-per-query answer. The old node silently drops the flag and
-// serves per-query; no error, no result drift.
+// TestGroupedOldNodeDegrades runs a grouped coordinator over a cluster whose
+// shard 1 restarts as another release right after the dial. A node of
+// another wire version no longer degrades to per-query serving behind the
+// coordinator's back: the grouped batch fails as a whole, naming both
+// versions, with no partial or drifted result. Once the node runs this
+// release again, the next batch redials and matches the ungrouped answer.
 func TestGroupedOldNodeDegrades(t *testing.T) {
 	const shards = 2
 	c, err := corpus.Generate(corpus.Spec{NumChunks: 700, Dim: 16, NumTopics: shards, Seed: 13})
@@ -226,16 +125,41 @@ func TestGroupedOldNodeDegrades(t *testing.T) {
 	if err := node.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
+	defer func() { _ = node.Close() }()
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	// Shard 1 serves batches per query from its real index. Its first
+	// connection is the handshake before the restart, the second speaks the
+	// other release's version, and later ones this release's again.
+	ix := st.Shards[1].Index
+	version := func(connIdx int) byte {
+		if connIdx == 1 {
+			return wireVersion + 1
+		}
+		return wireVersion
 	}
-	defer ln.Close()
-	serveV4Node(t, ln, 1, st.Shards[1].Index)
+	addr, stop := fakeNode(t, version, func(connIdx int, req *Request) *Response {
+		resp := &Response{ShardID: 1}
+		switch {
+		case req.Op == OpInfo:
+			resp.Size, resp.Dim, resp.Centroid = ix.Len(), ix.Dim(), make([]float32, ix.Dim())
+		case connIdx == 0:
+			return nil
+		case req.Op == OpSampleBatch || req.Op == OpDeepBatch:
+			k := req.K
+			if req.Op == OpSampleBatch {
+				k = 1
+			}
+			resp.Batch = make([][]vec.Neighbor, len(req.Queries))
+			for i, q := range req.Queries {
+				resp.Batch[i] = ix.Search(q, k, req.NProbe)
+			}
+		default:
+			resp.Err = "unsupported op"
+		}
+		return resp
+	})
+	defer stop()
 
-	addrs := []string{node.Addr(), ln.Addr().String()}
 	qs := c.Queries(10, 29)
 	queries := make([][]float32, qs.Vectors.Len())
 	for i := range queries {
@@ -243,28 +167,33 @@ func TestGroupedOldNodeDegrades(t *testing.T) {
 	}
 	p := hermes.DefaultParams()
 
-	plain, err := func() (*BatchResult, error) {
-		co, err := DialOpts(addrs, DialOptions{Timeout: time.Second, Telemetry: telemetry.NewRegistry()})
-		if err != nil {
-			return nil, err
+	co, err := DialOpts([]string{node.Addr(), addr}, DialOptions{Timeout: time.Second, Telemetry: telemetry.NewRegistry(), Grouped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = co.Close() }()
+	if res, err := co.SearchBatch(queries, p); err == nil {
+		t.Fatalf("grouped batch across the restart succeeded: %+v", res.Results)
+	}
+	res, err := co.SearchBatch(queries, p)
+	if err == nil {
+		t.Fatalf("grouped batch over a node of another version succeeded: %+v", res.Results)
+	}
+	for _, v := range []int{wireVersion, wireVersion + 1} {
+		if !strings.Contains(err.Error(), fmt.Sprintf("v%d", v)) {
+			t.Errorf("batch error %q does not name v%d", err, v)
 		}
-		defer co.Close()
-		return co.SearchBatch(queries, p)
-	}()
-	if err != nil {
-		t.Fatal(err)
 	}
-
-	co, err := DialOpts(addrs, DialOptions{Timeout: time.Second, Telemetry: telemetry.NewRegistry(), Grouped: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
 	grouped, err := co.SearchBatch(queries, p)
 	if err != nil {
-		t.Fatalf("grouped batch over a mixed-version cluster: %v", err)
+		t.Fatalf("grouped batch once the node runs this release again: %v", err)
+	}
+	co.SetGrouped(false)
+	plain, err := co.SearchBatch(queries, p)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(grouped.Results, plain.Results) {
-		t.Fatal("grouped batch over an old node drifted from the per-query answer")
+		t.Fatal("grouped batch after the rollout drifted from the ungrouped answer")
 	}
 }

@@ -1,7 +1,7 @@
 package distsearch
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -17,29 +17,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/vec"
 )
-
-// arrivalReader timestamps the first byte read after each reset, giving the
-// serving loop the request's wire-arrival time so the decode span starts
-// when bytes hit the node, not when gob returns. The protocol strictly
-// serializes request/response per connection (the coordinator holds the
-// connection mutex across a round-trip), so gob's internal read-ahead can
-// never have consumed the next request's first byte before reset is called.
-type arrivalReader struct {
-	r       io.Reader
-	armed   bool
-	arrival time.Time
-}
-
-func (a *arrivalReader) Read(p []byte) (int, error) {
-	n, err := a.r.Read(p)
-	if a.armed && n > 0 {
-		a.arrival = now()
-		a.armed = false
-	}
-	return n, err
-}
-
-func (a *arrivalReader) reset() { a.armed = true }
 
 // Node serves one shard's IVF index over TCP.
 type Node struct {
@@ -145,13 +122,30 @@ func (n *Node) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		n.ev.Info("conn.close", evlog.Int("shard", int64(n.shardID)), evlog.Str("remote", conn.RemoteAddr().String()))
 	}()
-	ar := &arrivalReader{r: conn}
-	dec := gob.NewDecoder(ar)
-	enc := gob.NewEncoder(conn)
+	// One exchange is in flight per connection, so the reader never holds
+	// the next request's bytes early and both buffers are reused, each at
+	// the largest frame seen.
+	br := bufio.NewReader(conn)
+	var in, out []byte
 	for {
-		ar.reset()
+		// The decode span starts when the request's first bytes arrive.
+		_, err := br.Peek(1)
+		arrival := now()
+		var h frameHeader
+		if err == nil {
+			h, in, err = readFrame(br, in)
+		}
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err == nil {
+			err = decodeRequest(h.op, in, &req)
+		} else if !errors.Is(err, errChecksum) {
+			// The framing is lost. A peer of another version still gets an
+			// answer it can read the version from.
+			var ve *versionError
+			if errors.As(err, &ve) {
+				out = appendResponse(out[:0], h.id, h.op, &Response{Err: fmt.Sprintf("node %d: %v", n.shardID, err)}, time.Time{})
+				_, _ = conn.Write(out)
+			}
 			if !errors.Is(err, io.EOF) && !n.isClosed() {
 				n.logger.Printf("node %d decode: %v", n.shardID, err)
 				n.ev.Warn("conn.decode_error", evlog.Int("shard", int64(n.shardID)), evlog.Err(err))
@@ -159,33 +153,27 @@ func (n *Node) serveConn(conn net.Conn) {
 			return
 		}
 		start := now()
-		arrival := start
-		if !ar.armed && ar.arrival.Before(start) {
-			arrival = ar.arrival
+		var resp *Response
+		if err != nil {
+			// A damaged body inside intact framing: answer it, keep serving.
+			resp = &Response{Err: fmt.Sprintf("node %d: %v", n.shardID, err)}
+		} else {
+			resp = n.handleRecovered(&req, arrival, start)
 		}
-		resp := n.handleRecovered(&req, arrival, start)
 		served := now().Sub(start)
 		resp.ServerNanos = served.Nanoseconds()
 		n.met.observe(req.Op, served, req.TraceID)
+		// A traced response times its own encode: the encode span is the
+		// last one, and the encoder writes its duration last.
+		var encStart time.Time
 		if req.TraceID != 0 && len(resp.Spans) > 0 {
-			// The encode span cannot be measured around the real Encode
-			// below — it must already be inside the response it times — so
-			// it is approximated by a discard-encode pre-pass of the final
-			// payload. A fresh encoder re-transmits gob type descriptors,
-			// making this a slight upper bound on the steady-state cost.
-			encStart := now()
-			if err := gob.NewEncoder(io.Discard).Encode(resp); err == nil {
-				resp.Spans = append(resp.Spans, WireSpan{
-					Name:        "encode",
-					Node:        n.shardID,
-					OffsetNanos: encStart.Sub(arrival).Nanoseconds(),
-					DurNanos:    now().Sub(encStart).Nanoseconds(),
-				})
-			}
+			encStart = now()
+			resp.Spans = append(resp.Spans, WireSpan{Name: "encode", Node: n.shardID, OffsetNanos: encStart.Sub(arrival).Nanoseconds()})
 		}
-		if err := enc.Encode(resp); err != nil {
+		out = appendResponse(out[:0], h.id, h.op, resp, encStart)
+		if _, err := conn.Write(out); err != nil {
 			if !n.isClosed() {
-				n.logger.Printf("node %d encode: %v", n.shardID, err)
+				n.logger.Printf("node %d write: %v", n.shardID, err)
 				n.ev.Warn("conn.encode_error", evlog.Int("shard", int64(n.shardID)), evlog.Err(err))
 			}
 			return
@@ -469,11 +457,10 @@ func (n *Node) groupedBatch(req *Request, k, nProbe int, arrival, decodeDone tim
 		}
 	}
 	resp := &Response{
-		ShardID:     n.shardID,
-		Batch:       batch,
-		Scanned:     int64(stats.VectorsScanned),
-		Costs:       costs,
-		GroupedExec: true,
+		ShardID: n.shardID,
+		Batch:   batch,
+		Scanned: int64(stats.VectorsScanned),
+		Costs:   costs,
 	}
 	if traced {
 		resp.Spans = n.tracedSpans(arrival, decodeDone, scanStart, ph)
@@ -484,18 +471,18 @@ func (n *Node) groupedBatch(req *Request, k, nProbe int, arrival, decodeDone tim
 // tracedSpans lays the node-side phases out as wire spans with offsets
 // relative to the request's wire arrival: decode, then (from scanStart,
 // which also covers any index-lock wait) probe_select, list_scan, and
-// topk_merge back to back. The encode span is appended by serveConn once
-// the response payload is final.
+// topk_merge back to back. serveConn appends the encode span, timed by the
+// encoder itself, into the spare capacity.
 func (n *Node) tracedSpans(arrival, decodeDone, scanStart time.Time, ph ivf.PhaseNanos) []WireSpan {
 	sel := scanStart.Sub(arrival).Nanoseconds()
 	scan := sel + ph.Select
 	merge := scan + ph.Scan
-	return []WireSpan{
-		{Name: "decode", Node: n.shardID, OffsetNanos: 0, DurNanos: decodeDone.Sub(arrival).Nanoseconds()},
-		{Name: "probe_select", Node: n.shardID, OffsetNanos: sel, DurNanos: ph.Select},
-		{Name: "list_scan", Node: n.shardID, OffsetNanos: scan, DurNanos: ph.Scan},
-		{Name: "topk_merge", Node: n.shardID, OffsetNanos: merge, DurNanos: ph.Merge},
-	}
+	return append(make([]WireSpan, 0, 5),
+		WireSpan{Name: "decode", Node: n.shardID, OffsetNanos: 0, DurNanos: decodeDone.Sub(arrival).Nanoseconds()},
+		WireSpan{Name: "probe_select", Node: n.shardID, OffsetNanos: sel, DurNanos: ph.Select},
+		WireSpan{Name: "list_scan", Node: n.shardID, OffsetNanos: scan, DurNanos: ph.Scan},
+		WireSpan{Name: "topk_merge", Node: n.shardID, OffsetNanos: merge, DurNanos: ph.Merge},
+	)
 }
 
 // scan runs one index search, timing it against the shard's per-quantizer

@@ -4,10 +4,11 @@
 // ranks nodes by their sampled document, and gathers a deep search from the
 // top-ranked subset.
 //
-// The wire protocol is gob over TCP with one request/response pair per
-// round-trip. Whereas internal/multinode models a large cluster
-// analytically, this package actually runs the protocol — the tests and
-// examples/distributed spin up real nodes on localhost.
+// The wire protocol is one versioned binary frame per request and per
+// response over TCP (wire.go), one exchange in flight per connection.
+// Whereas internal/multinode models a large cluster analytically, this
+// package actually runs the protocol — the tests and examples/distributed
+// spin up real nodes on localhost.
 package distsearch
 
 import (
@@ -45,20 +46,17 @@ const (
 	OpCompact
 	// OpMetricsSnap returns the node's structured metric export
 	// (Response.Families) for cluster-level federation: the coordinator
-	// merges every node's families into the /metrics/cluster view. Op
-	// values are append-only like the wire structs — a v(N-1) node answers
-	// this op with an "unknown op" error, which the coordinator treats as
-	// "federation absent", not a failure.
+	// merges every node's families into the /metrics/cluster view.
 	OpMetricsSnap
 )
 
-// Request is the single wire request envelope.
+// Request is the single wire request envelope. Op travels in the frame
+// header, every other field in the body (wire.go).
 //
-// The struct (and everything reachable through it) is locked in wire.lock:
-// gob names fields and encodes them in declaration order, so evolution is
-// append-only — new fields go at the end, and hermes-lint -update-wirelock
-// re-records the schema. Renaming, removing, reordering, or retyping an
-// existing field fails the wirelock gate.
+// The struct (and everything reachable through it) is recorded in
+// wire.lock, and hermes-lint fails on drift, so a change to the envelope is
+// a deliberate `hermes-lint -update-wirelock` plus codec support, which the
+// round-trip test demands field by field.
 //
 //hermes:wire
 type Request struct {
@@ -72,24 +70,18 @@ type Request struct {
 	// travels in Query).
 	ID int64
 	// TraceID carries the coordinator-minted request-scoped trace ID; 0
-	// means untraced. Appended after the v1 fields: gob drops it when an
-	// old node decodes the request and zeroes it when an old coordinator
-	// talks to a new node, so the extension is wire-compatible both ways.
+	// means untraced.
 	TraceID uint64
 	// Grouped asks the node to execute OpSampleBatch/OpDeepBatch through
 	// the multi-query grouped cell scan (ivf.SearchGroup): queries probing
 	// the same IVF cell share one code stream. Results are the same set as
 	// per-query execution, so the flag is purely an execution hint.
-	// Gob-compatible v5 addition, appended after TraceID like every
-	// evolution before it: an old node drops the field and serves the
-	// batch per-query — a silent, correct degrade — and an old coordinator
-	// leaves it false on a new node.
 	Grouped bool
 }
 
 // Response is the single wire response envelope. Err is non-empty when the
-// node rejected or failed the request. Like Request, its gob schema is
-// locked in wire.lock (append-only evolution; see the Request doc).
+// node rejected or failed the request. Like Request, it is recorded in
+// wire.lock.
 //
 //hermes:wire
 type Response struct {
@@ -113,45 +105,34 @@ type Response struct {
 	Tombstones                                int
 	// ServerNanos is the node-side handling time of this request in
 	// nanoseconds (deserialization and wire excluded); the coordinator
-	// uses it to split round-trip time into compute vs wire. Like
-	// TraceID, it is a gob-compatible v2 addition.
+	// uses it to split round-trip time into compute vs wire.
 	ServerNanos int64
 	// Telemetry is the node's full metric snapshot, keyed as
 	// telemetry.Registry.Snapshot renders it (OpStats only).
 	Telemetry map[string]float64
 	// Scanned is the number of vectors the node's index scanned serving
-	// this request (summed across a batch). Gob-compatible v3 addition,
-	// like Spans below.
+	// this request (summed across a batch).
 	Scanned int64
 	// Spans carries the node's per-phase timing for a traced request
 	// (Request.TraceID != 0): decode, probe_select, list_scan, topk_merge,
 	// encode. Offsets are relative to the node-side request start, never
 	// wall times, so coordinator/node clock skew is irrelevant — the
 	// coordinator anchors them at its own send time when stitching them
-	// into the query trace. Empty for untraced requests; a v2-era peer
-	// simply drops the field (decoding an old response leaves it nil).
+	// into the query trace. Empty for untraced requests.
 	Spans []WireSpan
 	// Families is the node's structured, mergeable metric export
 	// (OpMetricsSnap only): full bucket layouts and counts rather than the
 	// flattened strings of Telemetry above, so the coordinator can merge
-	// histograms bucket-wise across nodes. Gob-compatible v4 addition — a
-	// v3-era peer drops or zeroes it like TraceID/Spans before it.
+	// histograms bucket-wise across nodes.
 	Families []telemetry.FamilySnapshot
-	// Costs is the per-query resource-attribution ledger for this request
-	// (ISSUE 9): index-aligned with Request.Queries for the batch ops, a
-	// single entry for OpSample/OpDeep. Each entry accounts the cells this
-	// query probed, the codes streamed for it split exclusive vs
-	// shared-amortized, and — for traced requests — its share of the node's
-	// measured scan time. WireBytes is left zero by nodes (only the
-	// coordinator can see the wire) and filled in coordinator-side.
-	// Gob-compatible v6 addition: a v5-era peer drops or zeroes it.
+	// Costs is the per-query resource-attribution ledger for this request:
+	// index-aligned with Request.Queries for the batch ops, a single entry
+	// for OpSample/OpDeep. Each entry accounts the cells this query probed,
+	// the codes streamed for it split exclusive vs shared-amortized, and —
+	// for traced requests — its share of the node's measured scan time.
+	// WireBytes is left zero by nodes (only the coordinator can see the
+	// wire) and filled in coordinator-side.
 	Costs []telemetry.QueryCost
-	// GroupedExec reports that the node actually executed the batch through
-	// the grouped scan. A v5-era node serving a Grouped request leaves the
-	// field false (it degraded to per-query execution without attribution),
-	// which is how the coordinator detects — and now counts — the silent
-	// degrade. Gob-compatible v6 addition.
-	GroupedExec bool
 }
 
 // WireSpan is one node-side phase shipped inside a Response.

@@ -1,9 +1,7 @@
 package distsearch
 
 import (
-	"io"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -63,11 +61,6 @@ type coordMetrics struct {
 	batchSize    *telemetry.Histogram
 	byOp         map[Op]*telemetry.Counter
 
-	// groupDegrades counts grouped batch requests a node served without
-	// grouped execution (Response.GroupedExec false — a pre-v6 node that
-	// dropped the Grouped flag and ran per-query). Previously invisible.
-	groupDegrades *telemetry.Counter
-
 	// Per-query cost-ledger histograms (hermes_query_cost_*): one observation
 	// per completed query, grouped or not, from the coordinator's assembled
 	// QueryCost.
@@ -98,8 +91,6 @@ func newCoordMetrics(reg *telemetry.Registry) *coordMetrics {
 		batchSize: reg.Histogram("hermes_coordinator_batch_size",
 			"queries per SearchBatch call", telemetry.DefSizeBuckets),
 		byOp: make(map[Op]*telemetry.Counter, len(allOps)),
-		groupDegrades: reg.Counter("hermes_coordinator_group_degrade_total",
-			"grouped batch requests a node degraded to per-query execution (pre-v6 node)"),
 		costScan: reg.Histogram("hermes_query_cost_scan_seconds",
 			"per-query attributed scan time (codes-proportional share of measured scan phases; traced queries only)",
 			telemetry.DefLatencyBuckets),
@@ -170,42 +161,6 @@ func newClientMetrics(reg *telemetry.Registry, shardID int) clientMetrics {
 		deepTotal: reg.Counter("hermes_coordinator_shard_deep_total",
 			"deep searches this coordinator sent to each shard (the live Fig. 13 load view)", "shard", node),
 	}
-}
-
-// countingWriter / countingReader feed the wire byte counters; they wrap the
-// connection underneath the gob codec so encoded sizes are measured exactly.
-// n, when set, additionally accumulates into a per-connection total the
-// coordinator reads before/after a round-trip for exact per-request byte
-// deltas (the per-connection mutex serializes exchanges, so a delta is
-// attributable to exactly one request).
-type countingWriter struct {
-	w io.Writer
-	c *telemetry.Counter
-	n *atomic.Int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.c.Add(int64(n))
-	if cw.n != nil {
-		cw.n.Add(int64(n))
-	}
-	return n, err
-}
-
-type countingReader struct {
-	r io.Reader
-	c *telemetry.Counter
-	n *atomic.Int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.c.Add(int64(n))
-	if cr.n != nil {
-		cr.n.Add(int64(n))
-	}
-	return n, err
 }
 
 // nodeMetrics are the node-side handles (one table per served shard).

@@ -1,8 +1,7 @@
 package distsearch
 
 import (
-	"bytes"
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"net"
 	"strings"
@@ -219,50 +218,137 @@ func TestOpStatsReturnsTelemetrySnapshot(t *testing.T) {
 	}
 }
 
-// hangingNode answers the OpInfo handshake correctly, then swallows every
-// subsequent request without replying — the failure mode the per-round-trip
-// deadline exists for.
-func hangingNode(t *testing.T, dim int) (addr string, stop func()) {
+// fakeNode is a scripted node on a local listener: handle answers each
+// request on the connIdx-th accepted connection, in frames of wire version
+// version(connIdx), and a nil answer hangs up. stop closes the listener and
+// waits for every connection to end.
+func fakeNode(t *testing.T, version func(connIdx int) byte, handle func(connIdx int, req *Request) *Response) (addr string, stop func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer func() { _ = conn.Close() }()
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
-		for {
-			var req Request
-			if err := dec.Decode(&req); err != nil {
+		for connIdx := 0; ; connIdx++ {
+			conn, err := ln.Accept()
+			if err != nil {
 				return
 			}
-			if req.Op == OpInfo {
-				if err := enc.Encode(&Response{ShardID: 0, Size: 1, Dim: dim, Centroid: make([]float32, dim)}); err != nil {
-					return
+			wg.Add(1)
+			go func(conn net.Conn, connIdx int) {
+				defer wg.Done()
+				defer func() { _ = conn.Close() }()
+				br := bufio.NewReader(conn)
+				for {
+					h, body, err := readFrame(br, nil)
+					var req Request
+					if err != nil || decodeRequest(h.op, body, &req) != nil {
+						return
+					}
+					resp := handle(connIdx, &req)
+					if resp == nil {
+						return
+					}
+					out := appendResponse(nil, h.id, h.op, resp, time.Time{})
+					out[2] = version(connIdx)
+					if _, err := conn.Write(out); err != nil {
+						return
+					}
 				}
-				continue
-			}
-			// Hang: never respond, just wait for shutdown.
-			<-done
-			return
+			}(conn, connIdx)
 		}
 	}()
 	return ln.Addr().String(), func() {
-		close(done)
 		if err := ln.Close(); err != nil {
-			t.Errorf("close hanging listener: %v", err)
+			t.Errorf("close fake node listener: %v", err)
 		}
 		wg.Wait()
 	}
+}
+
+// speaks is a fakeNode version that is the same on every connection.
+func speaks(v byte) func(int) byte { return func(int) byte { return v } }
+
+// infoResponse is a fake node's OpInfo answer for a dim-dimensional shard 0.
+func infoResponse(dim int) *Response {
+	return &Response{ShardID: 0, Size: 1, Dim: dim, Centroid: make([]float32, dim)}
+}
+
+// upgradedNode is a fake node for shard shardID that restarts as a build of
+// the next wire version right after the coordinator's handshake: its first
+// connection answers OpInfo in this version and hangs up on the next
+// request, and every later connection speaks version wireVersion+1.
+func upgradedNode(t *testing.T, shardID, dim int) (addr string, stop func()) {
+	version := func(connIdx int) byte {
+		if connIdx == 0 {
+			return wireVersion
+		}
+		return wireVersion + 1
+	}
+	return fakeNode(t, version, func(connIdx int, req *Request) *Response {
+		if connIdx == 0 && req.Op != OpInfo {
+			return nil
+		}
+		return &Response{ShardID: shardID, Size: 1, Dim: dim, Centroid: make([]float32, dim)}
+	})
+}
+
+// TestResponseWireCompatV2V3 is the version rule after the dial, named for
+// this build's v2 meeting a v3 peer: once a node restarts as the next wire
+// version, every round-trip fails with an error naming both versions, the
+// connection stays poisoned, and each redial is refused again. No frame of
+// the other version is ever decoded.
+func TestResponseWireCompatV2V3(t *testing.T) {
+	const dim = 8
+	addr, stop := upgradedNode(t, 0, dim)
+	defer stop()
+	reg := telemetry.NewRegistry()
+	co, err := DialOpts([]string{addr}, DialOptions{Timeout: time.Second, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = co.Close() }()
+	n := co.nodes[0]
+
+	req := &Request{Op: OpSample, Query: make([]float32, dim), NProbe: 1}
+	if _, err := n.roundTrip(req); err == nil {
+		t.Fatal("the restart's dropped connection must fail the round-trip")
+	}
+	for i := 0; i < 2; i++ {
+		_, err := n.roundTrip(req)
+		if err == nil {
+			t.Fatalf("redial %d: a node of another wire version was served", i)
+		}
+		for _, v := range []int{wireVersion, wireVersion + 1} {
+			if !strings.Contains(err.Error(), fmt.Sprintf("v%d", v)) {
+				t.Errorf("redial %d: error %q does not name v%d", i, err, v)
+			}
+		}
+		if !n.broken {
+			t.Fatalf("redial %d: the connection to a node of another version was kept", i)
+		}
+	}
+	if got := reg.Snapshot()["hermes_distsearch_errors_total"]; got < 3 {
+		t.Errorf("errors = %v, want >= 3 (the restart and two refused redials)", got)
+	}
+}
+
+// hangingNode answers the OpInfo handshake correctly, then swallows every
+// subsequent request without replying — the failure mode the per-round-trip
+// deadline exists for.
+func hangingNode(t *testing.T, dim int) (addr string, stop func()) {
+	done := make(chan struct{})
+	addr, stopNode := fakeNode(t, speaks(wireVersion), func(_ int, req *Request) *Response {
+		if req.Op == OpInfo {
+			return infoResponse(dim)
+		}
+		<-done // hang until shutdown
+		return nil
+	})
+	return addr, func() { close(done); stopNode() }
 }
 
 // TestRoundTripDeadlineUnsticksHungNode is the satellite fix: without
@@ -303,71 +389,32 @@ func TestRoundTripDeadlineUnsticksHungNode(t *testing.T) {
 	}
 }
 
-// staleReplyNode accepts connections in a loop. On the first connection it
-// answers the OpInfo handshake, then delays the reply to the next request
-// past the caller's deadline before writing it — the late response of a
-// timed-out request. Later connections answer the handshake and serve
-// samples immediately with a distinguishable document ID.
+// staleReplyNode answers the OpInfo handshake, then on the first
+// connection delays the reply to the next request past the caller's
+// deadline before writing it — the late response of a timed-out request.
+// Later connections serve samples immediately with a distinguishable
+// document ID.
 func staleReplyNode(t *testing.T, dim int, delay time.Duration) (addr string, stop func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for connIdx := 0; ; connIdx++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func(conn net.Conn, connIdx int) {
-				defer wg.Done()
-				defer func() { _ = conn.Close() }()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					var resp Response
-					switch req.Op {
-					case OpInfo:
-						resp = Response{ShardID: 0, Size: 1, Dim: dim, Centroid: make([]float32, dim)}
-					case OpSample:
-						if connIdx == 0 {
-							time.Sleep(delay)
-							resp = Response{Neighbors: []vec.Neighbor{{ID: 111}}}
-						} else {
-							resp = Response{Neighbors: []vec.Neighbor{{ID: 222}}}
-						}
-					default:
-						resp = Response{Err: "unexpected op"}
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}(conn, connIdx)
+	return fakeNode(t, speaks(wireVersion), func(connIdx int, req *Request) *Response {
+		switch {
+		case req.Op == OpInfo:
+			return infoResponse(dim)
+		case req.Op != OpSample:
+			return &Response{Err: "unexpected op"}
+		case connIdx == 0:
+			time.Sleep(delay)
+			return &Response{Neighbors: []vec.Neighbor{{ID: 111}}}
+		default:
+			return &Response{Neighbors: []vec.Neighbor{{ID: 222}}}
 		}
-	}()
-	return ln.Addr().String(), func() {
-		if err := ln.Close(); err != nil {
-			t.Errorf("close stale-reply listener: %v", err)
-		}
-		wg.Wait()
-	}
+	})
 }
 
-// TestTimeoutPoisonsConnection is the stale-response regression test: the
-// wire protocol has no correlation ID, so after a deadline timeout the
-// coordinator must abandon the connection — otherwise the node's late reply
-// (ID 111 here) would be silently decoded as the answer to the NEXT request.
-// The retry must instead redial and receive the fresh reply (ID 222).
+// TestTimeoutPoisonsConnection is the stale-response regression test: after
+// a deadline timeout the coordinator must abandon the connection, so the
+// node's late reply (document 111 here) can never be taken as the answer to
+// the NEXT request. The retry must instead redial and receive the fresh
+// reply (document 222).
 func TestTimeoutPoisonsConnection(t *testing.T) {
 	const dim = 8
 	const delay = 400 * time.Millisecond
@@ -404,120 +451,5 @@ func TestTimeoutPoisonsConnection(t *testing.T) {
 	snap := reg.Snapshot()
 	if got := snap["hermes_distsearch_deadline_hits_total"]; got < 1 {
 		t.Errorf("deadline hits = %v, want >= 1", got)
-	}
-}
-
-// TestRequestWireCompat proves the TraceID/ServerNanos/Telemetry envelope
-// extensions are gob-compatible with the v1 protocol in both directions.
-func TestRequestWireCompat(t *testing.T) {
-	// v1 shapes as they existed before this change.
-	type RequestV1 struct {
-		Op      Op
-		Query   []float32
-		K       int
-		NProbe  int
-		Queries [][]float32
-		ID      int64
-	}
-	type ResponseV1 struct {
-		Err                                       string
-		ShardID, Size, Dim                        int
-		SampleServed, DeepServed, MutationsServed int64
-		Tombstones                                int
-	}
-
-	// New coordinator -> old node: TraceID is silently dropped.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Request{Op: OpSample, K: 5, TraceID: 42}); err != nil {
-		t.Fatal(err)
-	}
-	var v1req RequestV1
-	if err := gob.NewDecoder(&buf).Decode(&v1req); err != nil {
-		t.Fatalf("old node cannot decode new request: %v", err)
-	}
-	if v1req.Op != OpSample || v1req.K != 5 {
-		t.Errorf("v1 decode mangled fields: %+v", v1req)
-	}
-
-	// Old node -> new coordinator: extensions decode to zero values.
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&ResponseV1{ShardID: 3, Size: 100}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := gob.NewDecoder(&buf).Decode(&resp); err != nil {
-		t.Fatalf("new coordinator cannot decode old response: %v", err)
-	}
-	if resp.ShardID != 3 || resp.Size != 100 {
-		t.Errorf("decode mangled fields: %+v", resp)
-	}
-	if resp.ServerNanos != 0 || resp.Telemetry != nil {
-		t.Errorf("extensions must decode to zero values: %+v", resp)
-	}
-}
-
-// TestResponseWireCompatV2V3 proves the Scanned/Spans v3 response extensions
-// are gob-compatible with span-less v2 peers in both directions: a v2 node's
-// response decodes under the new coordinator with nil Spans (empty waterfall,
-// not an error), and a v3 response with spans decodes cleanly under a v2-era
-// struct, which simply drops the new fields.
-func TestResponseWireCompatV2V3(t *testing.T) {
-	// The v2 response shape as it existed before Scanned/Spans.
-	type ResponseV2 struct {
-		Err                                       string
-		ShardID, Size, Dim                        int
-		Neighbors                                 []vec.Neighbor
-		Batch                                     [][]vec.Neighbor
-		Centroid                                  []float32
-		OK                                        bool
-		SampleServed, DeepServed, MutationsServed int64
-		Tombstones                                int
-		ServerNanos                               int64
-		Telemetry                                 map[string]float64
-	}
-
-	// v2 node -> new coordinator: Spans stays nil, Scanned stays zero.
-	var buf bytes.Buffer
-	v2 := ResponseV2{
-		ShardID:     2,
-		Size:        500,
-		Neighbors:   []vec.Neighbor{{ID: 7, Score: 0.9}},
-		ServerNanos: 1234,
-	}
-	if err := gob.NewEncoder(&buf).Encode(&v2); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := gob.NewDecoder(&buf).Decode(&resp); err != nil {
-		t.Fatalf("new coordinator cannot decode v2 response: %v", err)
-	}
-	if resp.ShardID != 2 || resp.Size != 500 || resp.ServerNanos != 1234 || len(resp.Neighbors) != 1 {
-		t.Errorf("decode mangled v2 fields: %+v", resp)
-	}
-	if resp.Spans != nil || resp.Scanned != 0 {
-		t.Errorf("v3 extensions must decode to zero values from a v2 response: %+v", resp)
-	}
-
-	// v3 node -> v2 coordinator: spans and scanned counts are dropped, the
-	// rest decodes untouched.
-	buf.Reset()
-	v3 := Response{
-		ShardID: 4,
-		Size:    900,
-		Scanned: 64,
-		Spans: []WireSpan{
-			{Name: "decode", Node: 4, OffsetNanos: 0, DurNanos: 100},
-			{Name: "list_scan", Node: 4, OffsetNanos: 100, DurNanos: 5000},
-		},
-	}
-	if err := gob.NewEncoder(&buf).Encode(&v3); err != nil {
-		t.Fatal(err)
-	}
-	var back ResponseV2
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("v2 coordinator cannot decode v3 response with spans: %v", err)
-	}
-	if back.ShardID != 4 || back.Size != 900 {
-		t.Errorf("v2 decode mangled fields: %+v", back)
 	}
 }

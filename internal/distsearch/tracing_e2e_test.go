@@ -1,10 +1,8 @@
 package distsearch
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -16,7 +14,6 @@ import (
 	"repro/internal/hermes"
 	"repro/internal/hwmodel"
 	"repro/internal/telemetry"
-	"repro/internal/vec"
 )
 
 // recordedCluster is telemetryCluster plus a flight recorder wired through
@@ -199,115 +196,39 @@ func TestClusterTracingEndToEnd(t *testing.T) {
 	}
 }
 
-// v2NodeResponse is the span-less pre-v3 response shape an uninstrumented
-// node would send.
-type v2NodeResponse struct {
-	Err                                       string
-	ShardID, Size, Dim                        int
-	Neighbors                                 []vec.Neighbor
-	Batch                                     [][]vec.Neighbor
-	Centroid                                  []float32
-	OK                                        bool
-	SampleServed, DeepServed, MutationsServed int64
-	Tombstones                                int
-	ServerNanos                               int64
-	Telemetry                                 map[string]float64
-}
-
-// serveV2Node runs a minimal span-less shard node speaking the pre-v3
-// protocol: it answers OpInfo/OpSample/OpDeep with v2NodeResponse and never
-// ships spans, exactly like a node running the previous release.
-func serveV2Node(t *testing.T, ln net.Listener, shardID, dim int) {
-	t.Helper()
-	//lint:ignore goroutinectx accept loop exits when the test's deferred ln.Close unblocks Accept; the test process outlives every connection
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			//lint:ignore goroutinectx per-conn handler exits when the coordinator closes the conn at test end
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := v2NodeResponse{ShardID: shardID, Size: 10, Dim: dim}
-					switch req.Op {
-					case OpInfo:
-						resp.Centroid = make([]float32, dim)
-					case OpSample:
-						resp.Neighbors = []vec.Neighbor{{ID: int64(shardID), Score: float32(shardID)}}
-					case OpDeep:
-						resp.Neighbors = []vec.Neighbor{
-							{ID: int64(shardID * 10), Score: float32(shardID)},
-							{ID: int64(shardID*10 + 1), Score: float32(shardID) + 0.5},
-						}
-					default:
-						resp.Err = "unsupported op"
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-}
-
-// TestMixedVersionClusterEmptyWaterfall proves version-skew safety: a new
-// coordinator serving traced queries off uninstrumented v2 nodes gets
-// results and an empty (coordinator-phases-only) waterfall, not an error.
+// TestMixedVersionClusterEmptyWaterfall: traced queries over a cluster
+// caught mid-rollout are served by the real node, and the waterfall row of
+// the node that restarted as another wire version stays empty, both for the
+// restart's dropped connection and for a redial refused for its version.
+// The query does not fail, and the coordinator phases are all there.
 func TestMixedVersionClusterEmptyWaterfall(t *testing.T) {
-	const dim = 16
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		//lint:ignore deferinloop bounded two-iteration setup loop; both listeners must live until the test ends
-		defer ln.Close()
-		serveV2Node(t, ln, i, dim)
-		addrs = append(addrs, ln.Addr().String())
-	}
-
-	co, err := DialOpts(addrs, DialOptions{Timeout: time.Second, Telemetry: telemetry.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	q := make([]float32, dim)
+	c, co := mixedCluster(t)
 	p := hermes.DefaultParams()
-	p.DeepClusters = 1
-	tr := telemetry.NewTrace()
-	res, err := co.SearchTraced(q, p, tr)
-	if err != nil {
-		t.Fatalf("traced query against v2 nodes must not error: %v", err)
-	}
-	if len(res.Neighbors) == 0 {
-		t.Fatal("traced query against v2 nodes returned nothing")
-	}
-	for _, s := range tr.Spans() {
-		if s.Node != telemetry.NodeLocal {
-			t.Errorf("v2 nodes cannot ship spans, yet got %q from node %d", s.Name, s.Node)
+	p.DeepClusters = 2
+	for i := 0; i < 2; i++ {
+		tr := telemetry.NewTrace()
+		res, err := co.SearchTraced(c.Queries(1, 7+int64(i)).Vectors.Row(0), p, tr)
+		if err != nil {
+			t.Fatalf("traced query %d over the mixed cluster: %v", i, err)
 		}
-	}
-	counts := make(map[string]int)
-	for _, s := range tr.Spans() {
-		counts[s.Name]++
-	}
-	for _, phase := range []string{"sample_scatter", "rank", "deep_gather"} {
-		if counts[phase] != 1 {
-			t.Errorf("coordinator phase %s recorded %d spans, want 1", phase, counts[phase])
+		if len(res.Neighbors) == 0 {
+			t.Fatalf("traced query %d over the mixed cluster returned nothing", i)
 		}
-	}
-	if len(counts) != 3 {
-		t.Errorf("waterfall must hold only coordinator phases: %v", counts)
+		phases := make(map[string]int)
+		spansByNode := make(map[int]int)
+		for _, s := range tr.Spans() {
+			spansByNode[s.Node]++
+			if s.Node == telemetry.NodeLocal {
+				phases[s.Name]++
+			}
+		}
+		if spansByNode[1] != 0 || spansByNode[0] == 0 {
+			t.Errorf("query %d: spans by node %v, want some from shard 0 and none from shard 1", i, spansByNode)
+		}
+		for _, phase := range []string{"sample_scatter", "rank", "deep_gather"} {
+			if phases[phase] != 1 {
+				t.Errorf("query %d: coordinator phase %s recorded %d spans, want 1", i, phase, phases[phase])
+			}
+		}
 	}
 }

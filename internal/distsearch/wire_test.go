@@ -1,0 +1,156 @@
+package distsearch
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/telemetry"
+	"repro/internal/vec"
+)
+
+// fill sets every exported field reachable from v to a non-zero value:
+// two-element slices and maps, distinct integers of both signs, and floats
+// cycling through NaN, ±Inf and finite values. A field the codec forgets
+// then decodes as zero and fails the round trip.
+func fill(t *testing.T, v reflect.Value, seq *int) {
+	*seq++
+	n := *seq
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fill(t, v.Field(i), seq)
+			}
+		}
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 2, 2)
+		fill(t, s.Index(0), seq)
+		fill(t, s.Index(1), seq)
+		v.Set(s)
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		for i := 0; i < 2; i++ {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(t, k, seq)
+			fill(t, e, seq)
+			m.SetMapIndex(k, e)
+		}
+		v.Set(m)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("field-%d", n))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(n) * -982_451_653)
+	case reflect.Uint8:
+		v.SetUint(uint64(n))
+	case reflect.Uint64:
+		v.SetUint(uint64(n) * 0x9e3779b97f4a7c15)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat([]float64{math.NaN(), math.Inf(1), math.Inf(-1), float64(n) + 0.25}[n%4])
+	default:
+		t.Fatalf("fill: no value for %s", v.Type())
+	}
+}
+
+// sameBits is reflect.DeepEqual with floats compared by their bits, so NaN
+// equals itself.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if e := b.MapIndex(k); !e.IsValid() || !sameBits(a.MapIndex(k), e) {
+				return false
+			}
+		}
+		return true
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	default:
+		return a.Interface() == b.Interface()
+	}
+}
+
+// TestWireRoundTripComplete: every field of both envelopes, and of every
+// struct reachable from them, survives a frame bit for bit.
+func TestWireRoundTripComplete(t *testing.T) {
+	seq := 0
+	var req Request
+	var resp Response
+	fill(t, reflect.ValueOf(&req).Elem(), &seq)
+	fill(t, reflect.ValueOf(&resp).Elem(), &seq)
+
+	h, body, err := readFrame(bufio.NewReader(bytes.NewReader(appendRequest(nil, 99, &req))), nil)
+	var gotReq Request
+	if err == nil {
+		err = decodeRequest(h.op, body, &gotReq)
+	}
+	if err != nil || h.id != 99 || !sameBits(reflect.ValueOf(req), reflect.ValueOf(gotReq)) {
+		t.Fatalf("request round trip: err=%v id=%d\n sent %+v\n  got %+v", err, h.id, req, gotReq)
+	}
+
+	h, body, err = readFrame(bufio.NewReader(bytes.NewReader(appendResponse(nil, 7, OpStats, &resp, time.Time{}))), nil)
+	var gotResp Response
+	if err == nil {
+		err = decodeResponse(body, &gotResp)
+	}
+	if err != nil || h.id != 7 || h.op != OpStats || !sameBits(reflect.ValueOf(resp), reflect.ValueOf(gotResp)) {
+		t.Fatalf("response round trip: err=%v header=%+v\n sent %+v\n  got %+v", err, h, resp, gotResp)
+	}
+}
+
+// TestWireAllocBudgets pins the codec's allocations: encoding into a reused
+// buffer allocates nothing, and decoding a search response allocates only
+// its result slices (neighbors and the cost entry).
+func TestWireAllocBudgets(t *testing.T) {
+	req := &Request{Op: OpDeep, Query: make([]float32, 32), K: 5, NProbe: 16, TraceID: 1 << 60}
+	for _, resp := range []*Response{
+		{ShardID: 3, Neighbors: make([]vec.Neighbor, 1), Scanned: 40, ServerNanos: 9000,
+			Costs: []telemetry.QueryCost{{Cells: 4, CodesExclusive: 40}}},
+		{ShardID: 3, Neighbors: make([]vec.Neighbor, 5), Scanned: 160, ServerNanos: 21000,
+			Costs: []telemetry.QueryCost{{Cells: 16, CodesExclusive: 160}}},
+	} {
+		buf := make([]byte, 0, 4096)
+		if a := testing.AllocsPerRun(100, func() { buf = appendRequest(buf[:0], 1, req) }); a != 0 {
+			t.Errorf("request encode: %v allocs, want 0", a)
+		}
+		if a := testing.AllocsPerRun(100, func() { buf = appendResponse(buf[:0], 1, OpDeep, resp, time.Time{}) }); a != 0 {
+			t.Errorf("response encode: %v allocs, want 0", a)
+		}
+		body := appendResponse(nil, 1, OpDeep, resp, time.Time{})[headerSize:]
+		a := testing.AllocsPerRun(100, func() {
+			var r Response
+			if err := decodeResponse(body, &r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if a != 2 {
+			t.Errorf("%d-neighbor response decode: %v allocs, want 2 (neighbors, costs)", len(resp.Neighbors), a)
+		}
+	}
+}
