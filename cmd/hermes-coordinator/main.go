@@ -294,7 +294,7 @@ func printClusterSummary(co *distsearch.Coordinator) {
 		flat["hermes_distsearch_errors_total"],
 		flat["hermes_distsearch_deadline_hits_total"])
 	if len(view.Missing) > 0 {
-		fmt.Printf("  shards not contributing metrics (old release or unreachable): %v\n", view.Missing)
+		fmt.Printf("  shards not contributing metrics (unreachable): %v\n", view.Missing)
 	}
 }
 

@@ -198,8 +198,10 @@ func main() {
 		var err error
 		bat, err = batcher.New(batcher.Config{
 			MaxBatch: *conc,
-			// The wait window trades queueing delay for batch size; twice
-			// the slack keeps held-back queries inside one extra flush.
+			// The batcher flushes whenever the cluster is idle, so MaxWait
+			// only bounds the wait of queries queued behind a busy cluster;
+			// twice the slack leaves a held-back query room for one more
+			// flush after its slack runs out.
 			MaxWait:    2 * *groupSlack,
 			GroupSlack: *groupSlack,
 			Predict:    predict,

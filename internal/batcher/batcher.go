@@ -3,9 +3,16 @@
 // paper's systems are evaluated at fixed batch sizes (32-256) because FAISS
 // scan throughput, GPU prefill, and Hermes' per-node deep loads all amortize
 // across a batch; a real deployment gets single queries and must form those
-// batches itself. The batcher groups arrivals until either MaxBatch queries
-// are waiting or MaxWait has elapsed since the first, trading a bounded
-// queueing delay for batch efficiency.
+// batches itself.
+//
+// Dispatch is work-conserving. A batch is flushed as soon as MaxBatch
+// queries are waiting, as soon as no batch is inside Process, or once the
+// oldest pending query has waited MaxWait (that flush runs beside any batch
+// already in flight). A query that arrives at an idle batcher goes straight
+// to the processor; queries that arrive while a batch is in flight queue and
+// leave together the moment it returns. Batches therefore form only while
+// the processor is busy and grow with load, and MaxWait is an upper bound on
+// a query's queueing delay rather than its usual value.
 //
 // With a predictor wired (Config.Predict), the flush becomes a grouping
 // scheduler instead of a blind FIFO take: each pending query carries the
@@ -56,9 +63,12 @@ type PredictFunc func(q []float32) []uint64
 
 // Config sizes the batcher.
 type Config struct {
-	// MaxBatch flushes as soon as this many queries are waiting.
+	// MaxBatch flushes as soon as this many queries are waiting, even while
+	// another batch is in flight.
 	MaxBatch int
-	// MaxWait flushes a partial batch this long after its first arrival.
+	// MaxWait bounds a query's queueing delay: a query still pending this
+	// long after its arrival flushes beside whatever is in flight. It is a
+	// bound, not a batching window — an idle batcher flushes at once.
 	MaxWait time.Duration
 	// Process executes flushed batches.
 	Process ProcessFunc
@@ -72,14 +82,15 @@ type Config struct {
 	Predict PredictFunc
 	// GroupSlack is the SLO slack window of the grouping scheduler: a
 	// pending query with no predicted overlap with the current seed may sit
-	// out a flush until it has waited this long. Clamped to MaxWait (every
-	// query still flushes within MaxWait of its own arrival); zero disables
-	// holdback, so grouped flushes take everything FIFO would. Ignored
-	// without Predict.
+	// out a flush until it has waited this long, and then rides the next
+	// one — the next idle flush or, at the latest, its own MaxWait flush.
+	// Clamped to MaxWait (every query still flushes within MaxWait of its
+	// own arrival); zero disables holdback, so grouped flushes take
+	// everything FIFO would. Ignored without Predict.
 	GroupSlack time.Duration
 	// Telemetry, when non-nil, receives the live queue-depth gauge, the
-	// batch-size histogram, and the grouping histograms/counters
-	// (hermes_batcher_*). Nil disables instrumentation.
+	// queue-wait and batch-size histograms, and the grouping
+	// histograms/counters (hermes_batcher_*). Nil disables instrumentation.
 	Telemetry *telemetry.Registry
 	// Events, when non-nil, records lifecycle edges (the Close-time drain
 	// of a partial batch). Nil disables event recording at zero cost.
@@ -91,18 +102,22 @@ type Batcher struct {
 	cfg     Config
 	mu      sync.Mutex
 	pending []*request
-	timer   *time.Timer
-	closed  bool
-	// timerFlushes counts armed wait timers whose flushTimer callback has
-	// not finished: time.AfterFunc runs the callback on its own goroutine,
-	// and Timer.Stop does not wait for a callback already in flight. Close
-	// drains this before returning so no flush (and no cfg.Process call)
-	// outlives it.
-	timerFlushes sync.WaitGroup
+	// timer fires at the oldest pending query's MaxWait deadline; nil while
+	// nothing is pending.
+	timer  *time.Timer
+	closed bool
+	// busy counts batches inside Process. While it is zero nothing is
+	// pending: an arrival at an idle batcher flushes at once, and a batch
+	// that returns to find queries waiting takes the next one.
+	busy int
+	// flights counts flush goroutines that have not finished. Close waits
+	// on it, so no cfg.Process call starts or runs after Close returns.
+	flights sync.WaitGroup
 
 	flushes, queriesServed, holdbacks int64
 
 	queueDepth     *telemetry.Gauge
+	queueWait      *telemetry.Histogram
 	batchSize      *telemetry.Histogram
 	groupSize      *telemetry.Histogram
 	groupOverlap   *telemetry.Histogram
@@ -144,6 +159,8 @@ func New(cfg Config) (*Batcher, error) {
 		//lint:ignore metricname queue depth is a resident count, not a flow or a unit-bearing quantity
 		queueDepth: cfg.Telemetry.Gauge("hermes_batcher_queue_depth",
 			"Queries waiting for their batch to flush."),
+		queueWait: cfg.Telemetry.Histogram("hermes_batcher_queue_wait_seconds",
+			"Time from a query's arrival to the start of its batch's Process call.", telemetry.DefLatencyBuckets),
 		//lint:ignore metricname batch size is a dimensionless query count per flush
 		batchSize: cfg.Telemetry.Histogram("hermes_batcher_batch_size",
 			"Queries per flushed batch.", telemetry.DefSizeBuckets),
@@ -164,8 +181,8 @@ func (b *Batcher) Search(q []float32) ([]vec.Neighbor, error) {
 	if b.cfg.Predict != nil {
 		// Predict outside the lock: it may scan centroids.
 		req.cells = normalizeKeys(b.cfg.Predict(q))
-		req.arrived = now()
 	}
+	req.arrived = now()
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -174,19 +191,12 @@ func (b *Batcher) Search(q []float32) ([]vec.Neighbor, error) {
 	b.pending = append(b.pending, req)
 	b.queueDepth.Set(float64(len(b.pending)))
 	switch {
-	case len(b.pending) >= b.cfg.MaxBatch:
-		batch := b.takeLocked(false)
-		b.mu.Unlock()
-		b.flush(batch)
-	case len(b.pending) == 1 && b.timer == nil:
-		// First arrival arms the wait timer. The Add is balanced by
-		// flushTimer when the callback runs, or by takeLocked when a
-		// successful Stop proves it never will.
-		b.armTimerLocked(b.cfg.MaxWait)
-		b.mu.Unlock()
-	default:
-		b.mu.Unlock()
+	case len(b.pending) >= b.cfg.MaxBatch || b.busy == 0:
+		b.dispatchLocked(false)
+	case b.timer == nil:
+		b.armTimerLocked()
 	}
+	b.mu.Unlock()
 	resp := <-req.done
 	return resp.neighbors, resp.err
 }
@@ -226,13 +236,23 @@ func keyOverlap(a, b []uint64) int {
 	return n
 }
 
-// armTimerLocked arms the wait timer for d from now; callers hold b.mu.
-func (b *Batcher) armTimerLocked(d time.Duration) {
-	if d < 0 {
-		d = 0
+// armTimerLocked arms the wait timer for the oldest pending query's MaxWait
+// deadline; callers hold b.mu.
+func (b *Batcher) armTimerLocked() {
+	d := b.pending[0].arrived.Add(b.cfg.MaxWait).Sub(now())
+	b.timer = time.AfterFunc(max(d, 0), b.flushTimer)
+}
+
+// dispatchLocked takes the next batch and runs it on its own goroutine, so
+// no caller's result waits on a batch it is not part of; callers hold b.mu.
+func (b *Batcher) dispatchLocked(all bool) {
+	batch := b.takeLocked(all)
+	if len(batch) == 0 {
+		return
 	}
-	b.timerFlushes.Add(1)
-	b.timer = time.AfterFunc(d, b.flushTimer)
+	b.busy++
+	b.flights.Add(1)
+	go b.flush(batch)
 }
 
 // takeLocked detaches the next batch; callers hold b.mu. FIFO mode (no
@@ -251,18 +271,15 @@ func (b *Batcher) takeLocked(all bool) []*request {
 	}
 	b.queueDepth.Set(float64(len(b.pending)))
 	if b.timer != nil {
-		if b.timer.Stop() {
-			// Stopped before firing: the callback never runs, so settle
-			// its Add here. A false return means flushTimer is already
-			// running (or queued) and settles it itself.
-			b.timerFlushes.Done()
-		}
+		// Stop cannot recall a callback that has already fired;
+		// flushTimer ignores such a late one.
+		b.timer.Stop()
 		b.timer = nil
 	}
-	if len(b.pending) > 0 && !b.closed {
+	if len(b.pending) > 0 {
 		// Held-back queries keep their own latency bound: the re-armed
 		// timer fires at the new oldest query's arrival + MaxWait.
-		b.armTimerLocked(b.pending[0].arrived.Add(b.cfg.MaxWait).Sub(now()))
+		b.armTimerLocked()
 	}
 	return batch
 }
@@ -330,21 +347,30 @@ func (b *Batcher) selectGroupLocked() []*request {
 	return taken
 }
 
+// flushTimer is the MaxWait flush: the oldest pending query has waited its
+// bound, so its batch leaves now, beside whatever is in flight. Timer.Stop
+// cannot recall a callback that has already fired, so a callback that lost
+// the race to a take finds the current oldest query not yet due, or the
+// queue empty (as it always is after Close), and does nothing.
 func (b *Batcher) flushTimer() {
-	defer b.timerFlushes.Done()
 	b.mu.Lock()
-	batch := b.takeLocked(false)
-	b.mu.Unlock()
-	b.flush(batch)
-}
-
-func (b *Batcher) flush(batch []*request) {
-	if len(batch) == 0 {
+	defer b.mu.Unlock()
+	if len(b.pending) == 0 || now().Sub(b.pending[0].arrived) < b.cfg.MaxWait {
 		return
 	}
+	b.dispatchLocked(false)
+}
+
+// flush runs one dispatched batch and routes its results. When it returns
+// to find queries pending and no other batch in flight, it dispatches the
+// next batch before answering its own callers.
+func (b *Batcher) flush(batch []*request) {
+	defer b.flights.Done()
 	queries := make([][]float32, len(batch))
+	start := now()
 	for i, r := range batch {
 		queries[i] = r.query
+		b.queueWait.ObserveDuration(start.Sub(r.arrived))
 	}
 	b.batchSize.Observe(float64(len(queries)))
 	var results [][]vec.Neighbor
@@ -362,6 +388,10 @@ func (b *Batcher) flush(batch []*request) {
 	b.mu.Lock()
 	b.flushes++
 	b.queriesServed += int64(len(batch))
+	b.busy--
+	if b.busy == 0 && len(b.pending) > 0 {
+		b.dispatchLocked(false)
+	}
 	b.mu.Unlock()
 	for i, r := range batch {
 		if err != nil {
@@ -402,9 +432,10 @@ func (b *Batcher) Stats() Stats {
 	return s
 }
 
-// Close flushes any pending batch, rejects future Searches, and waits for
-// any in-flight timer flush to finish, so cfg.Process is never entered
-// after Close returns (callers tear down the processor right after).
+// Close flushes any pending queries as one batch, rejects future Searches,
+// and waits for every flush in flight to finish, so cfg.Process is never
+// entered after Close returns (callers tear down the processor right
+// after).
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -412,14 +443,14 @@ func (b *Batcher) Close() {
 		return
 	}
 	b.closed = true
-	batch := b.takeLocked(true)
+	drained := len(b.pending)
+	b.dispatchLocked(true)
 	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.cfg.Events.Info("batcher.drain", evlog.Int("pending", int64(len(batch))))
+	if drained > 0 {
+		b.cfg.Events.Info("batcher.drain", evlog.Int("pending", int64(drained)))
 	}
-	b.flush(batch)
-	b.timerFlushes.Wait()
-	// Snapshot under the lock: a timer flush racing with Close writes these
+	b.flights.Wait()
+	// Snapshot under the lock: a flush racing with Close writes these
 	// counters under b.mu right up until the Wait above returns.
 	b.mu.Lock()
 	flushes, served := b.flushes, b.queriesServed

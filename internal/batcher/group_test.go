@@ -96,13 +96,10 @@ func TestGroupedSelection(t *testing.T) {
 	if snap["hermes_batcher_group_size:count"] != 1 || snap["hermes_batcher_group_overlap:count"] != 3 {
 		t.Fatalf("grouping histograms not observed: %v", snap)
 	}
-	// The re-armed timer belongs to the held query; settle it so Close's
-	// drain does not wait on a live 100ms timer.
+	// The held query is a fabricated request nobody waits on: drop it so
+	// Close's drain has nothing to flush (its take also stops the re-armed
+	// timer).
 	b.pending = nil
-	if b.timer.Stop() {
-		b.timerFlushes.Done()
-	}
-	b.timer = nil
 	b.Close()
 }
 
@@ -128,16 +125,21 @@ func TestGroupSlackClampedToMaxWait(t *testing.T) {
 	}
 }
 
-// TestHoldbackFlushesWithinMaxWait is the end-to-end slack behavior: a
-// non-overlapping query sits out the cohort's size-triggered flush but still
-// completes within its own MaxWait via the re-armed timer.
+// TestHoldbackFlushesWithinMaxWait is the end-to-end slack behavior: while
+// a held batch keeps the batcher busy, a non-overlapping query sits out the
+// cohort's size-triggered flush but still completes within its own MaxWait
+// via the re-armed timer, without waiting for the held batch to return.
 func TestHoldbackFlushesWithinMaxWait(t *testing.T) {
+	g := newBusyGate()
 	var batches [][]float32
 	var mu sync.Mutex
 	b, err := New(Config{
 		MaxBatch: 3, MaxWait: 60 * time.Millisecond, GroupSlack: 30 * time.Millisecond,
 		Predict: keyOf,
-		Process: func(qs [][]float32) ([][]vec.Neighbor, error) {
+		Process: g.wrap(func(qs [][]float32) ([][]vec.Neighbor, error) {
+			if qs[0][0] == holdQuery {
+				return echoProcess(qs)
+			}
 			mu.Lock()
 			first := make([]float32, 0, len(qs))
 			for _, q := range qs {
@@ -146,12 +148,13 @@ func TestHoldbackFlushesWithinMaxWait(t *testing.T) {
 			batches = append(batches, first)
 			mu.Unlock()
 			return echoProcess(qs)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	held := g.hold(t, b)
 
 	var wg sync.WaitGroup
 	results := make([]int64, 3)
@@ -173,8 +176,12 @@ func TestHoldbackFlushesWithinMaxWait(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	start := time.Now()
 	go search(2, 1)
-	wg.Wait()
+	wg.Wait() // all three are answered while the held batch is in Process
 	elapsed := time.Since(start)
+	close(g.release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
 
 	for i, want := range []int64{1, 9, 1} {
 		if results[i] != want {
