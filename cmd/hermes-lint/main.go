@@ -2,8 +2,8 @@
 // (see internal/lint) over package patterns and exits non-zero on any
 // finding. It is part of the tier-1 verify path (scripts/verify.sh): the
 // paper's latency/imbalance/energy claims depend on deterministic,
-// race-free, wire-stable code, and these checks machine-enforce the project
-// rules that keep it that way.
+// race-free code, and these checks machine-enforce the project rules that
+// keep it that way.
 //
 // Usage:
 //
@@ -13,7 +13,6 @@
 //	hermes-lint -include-tests ./...       # also analyze in-package _test.go files
 //	hermes-lint -json ./... > lint.json    # machine-readable report on stdout
 //	hermes-lint -diff lint-report.json ./... # fail only on NEW findings
-//	hermes-lint -update-wirelock ./...     # regenerate wire.lock artifacts
 //	hermes-lint -update-alloclock ./...    # regenerate alloc.lock artifacts
 //	hermes-lint -list                      # describe checks and fact lattices
 //	hermes-lint -facts ./...               # dump the cross-package facts
@@ -74,7 +73,6 @@ func main() {
 		baselinePath  = flag.String("baseline", "", "baseline file of accepted findings to subtract")
 		diffPath      = flag.String("diff", "", "committed report to diff against: report everything, but exit 1 only on findings absent from it")
 		writeBaseline = flag.String("write-baseline", "", "write current findings to this baseline file and exit")
-		updateWire    = flag.Bool("update-wirelock", false, "regenerate wire.lock artifacts for matched packages and exit")
 		updateAlloc   = flag.Bool("update-alloclock", false, "regenerate alloc.lock artifacts for matched packages (runs the compiler) and exit")
 		showFacts     = flag.Bool("facts", false, "dump the cross-package fact lattices and lock-order graph, then exit")
 		typeWarn      = flag.Bool("typewarnings", false, "print type-check problems encountered while loading")
@@ -167,21 +165,13 @@ func main() {
 		}
 	}
 
-	if *updateWire || *updateAlloc {
-		for _, ar := range lint.AllArtifacts() {
-			if ar.Name == "wirelock" && !*updateWire {
-				continue
-			}
-			if ar.Name == "escapeaudit" && !*updateAlloc {
-				continue
-			}
-			written, err := ar.Update(pkgs, escape)
-			if err != nil {
-				fatal(err)
-			}
-			for _, path := range written {
-				fmt.Printf("hermes-lint: wrote %s\n", path)
-			}
+	if *updateAlloc {
+		written, err := lint.UpdateAllocLocks(pkgs, escape)
+		if err != nil {
+			fatal(err)
+		}
+		for _, path := range written {
+			fmt.Printf("hermes-lint: wrote %s\n", path)
 		}
 		return
 	}

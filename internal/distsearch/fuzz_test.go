@@ -5,9 +5,11 @@ package distsearch
 // must tolerate arbitrary bytes: a malformed, truncated or damaged frame may
 // only yield an error, never a panic or an allocation the input does not pay
 // for. Every value has one encoding, so whatever decodes must re-encode to
-// exactly the bytes it came from. The seeds are a valid frame of a
-// fully-populated envelope plus one damaged variant per fault class, so even
-// `go test` (which runs only the seed corpus) exercises each class.
+// exactly the bytes it came from. The seeds are every golden frame
+// (golden_test.go) plus one damaged variant of each per fault class, so even
+// `go test` (which runs only the seed corpus) exercises each class. The
+// committed corpus in testdata/fuzz adds a valid and a truncated frame per
+// target.
 
 import (
 	"bufio"
@@ -94,7 +96,11 @@ func asFrame(data []byte) (frameHeader, []byte) {
 }
 
 func FuzzRequestDecode(f *testing.F) {
-	addSeeds(f, appendRequest(nil, 42, seedRequest()))
+	for _, g := range goldenFrames(f) {
+		if _, ok := g.env.(*Request); ok {
+			addSeeds(f, g.encode())
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, body := asFrame(data)
 		var req Request
@@ -108,7 +114,11 @@ func FuzzRequestDecode(f *testing.F) {
 }
 
 func FuzzResponseDecode(f *testing.F) {
-	addSeeds(f, appendResponse(nil, 42, OpDeepBatch, seedResponse(), time.Time{}))
+	for _, g := range goldenFrames(f) {
+		if _, ok := g.env.(*Response); ok {
+			addSeeds(f, g.encode())
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, body := asFrame(data)
 		var resp Response

@@ -53,12 +53,11 @@ const (
 // Request is the single wire request envelope. Op travels in the frame
 // header, every other field in the body (wire.go).
 //
-// The struct (and everything reachable through it) is recorded in
-// wire.lock, and hermes-lint fails on drift, so a change to the envelope is
-// a deliberate `hermes-lint -update-wirelock` plus codec support, which the
+// The protocol speaks one version, and each version's frames are recorded
+// byte for byte in testdata/wire_v<version>.golden. Those bytes never change
+// within a version, so a change to the envelope (or to anything reachable
+// through it) is a wireVersion bump plus codec support, which the
 // round-trip test demands field by field.
-//
-//hermes:wire
 type Request struct {
 	Op     Op
 	Query  []float32
@@ -80,10 +79,8 @@ type Request struct {
 }
 
 // Response is the single wire response envelope. Err is non-empty when the
-// node rejected or failed the request. Like Request, it is recorded in
-// wire.lock.
-//
-//hermes:wire
+// node rejected or failed the request. Like Request, its frames are recorded
+// in the version's golden file.
 type Response struct {
 	Err string
 	// Info fields.

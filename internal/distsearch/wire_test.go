@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -16,16 +17,23 @@ import (
 // fill sets every exported field reachable from v to a non-zero value:
 // two-element slices and maps, distinct integers of both signs, and floats
 // cycling through NaN, ±Inf and finite values. A field the codec forgets
-// then decodes as zero and fails the round trip.
-func fill(t *testing.T, v reflect.Value, seq *int) {
+// then decodes as zero and fails the round trip. Struct fields are filled in
+// name order, so reordering a declaration, which moves no wire byte, changes
+// no value of the golden frames either.
+func fill(t testing.TB, v reflect.Value, seq *int) {
 	*seq++
 	n := *seq
 	switch v.Kind() {
 	case reflect.Struct:
+		var fields []reflect.StructField
 		for i := 0; i < v.NumField(); i++ {
-			if v.Type().Field(i).IsExported() {
-				fill(t, v.Field(i), seq)
+			if f := v.Type().Field(i); f.IsExported() {
+				fields = append(fields, f)
 			}
+		}
+		sort.Slice(fields, func(i, j int) bool { return fields[i].Name < fields[j].Name })
+		for _, f := range fields {
+			fill(t, v.FieldByIndex(f.Index), seq)
 		}
 	case reflect.Slice:
 		s := reflect.MakeSlice(v.Type(), 2, 2)
@@ -96,31 +104,59 @@ func sameBits(a, b reflect.Value) bool {
 	}
 }
 
-// TestWireRoundTripComplete: every field of both envelopes, and of every
-// struct reachable from them, survives a frame bit for bit.
-func TestWireRoundTripComplete(t *testing.T) {
+// filled returns a Request and a Response with every field set by fill.
+func filled(t testing.TB) (*Request, *Response) {
 	seq := 0
 	var req Request
 	var resp Response
 	fill(t, reflect.ValueOf(&req).Elem(), &seq)
 	fill(t, reflect.ValueOf(&resp).Elem(), &seq)
+	return &req, &resp
+}
 
-	h, body, err := readFrame(bufio.NewReader(bytes.NewReader(appendRequest(nil, 99, &req))), nil)
+// TestWireRoundTripComplete: every field of both envelopes, and of every
+// struct reachable from them, survives a frame bit for bit.
+func TestWireRoundTripComplete(t *testing.T) {
+	req, resp := filled(t)
+
+	h, body, err := readFrame(bufio.NewReader(bytes.NewReader(appendRequest(nil, 99, req))), nil)
 	var gotReq Request
 	if err == nil {
 		err = decodeRequest(h.op, body, &gotReq)
 	}
-	if err != nil || h.id != 99 || !sameBits(reflect.ValueOf(req), reflect.ValueOf(gotReq)) {
+	if err != nil || h.id != 99 || !sameBits(reflect.ValueOf(*req), reflect.ValueOf(gotReq)) {
 		t.Fatalf("request round trip: err=%v id=%d\n sent %+v\n  got %+v", err, h.id, req, gotReq)
 	}
 
-	h, body, err = readFrame(bufio.NewReader(bytes.NewReader(appendResponse(nil, 7, OpStats, &resp, time.Time{}))), nil)
+	h, body, err = readFrame(bufio.NewReader(bytes.NewReader(appendResponse(nil, 7, OpStats, resp, time.Time{}))), nil)
 	var gotResp Response
 	if err == nil {
 		err = decodeResponse(body, &gotResp)
 	}
-	if err != nil || h.id != 7 || h.op != OpStats || !sameBits(reflect.ValueOf(resp), reflect.ValueOf(gotResp)) {
+	if err != nil || h.id != 7 || h.op != OpStats || !sameBits(reflect.ValueOf(*resp), reflect.ValueOf(gotResp)) {
 		t.Fatalf("response round trip: err=%v header=%+v\n sent %+v\n  got %+v", err, h, resp, gotResp)
+	}
+}
+
+// searchExchange is one request and the response that answers it.
+type searchExchange struct {
+	req  *Request
+	resp *Response
+}
+
+// searchExchanges returns one OpSample and one OpDeep exchange shaped as the
+// coordinator and Node.searchResp build them: a sample asks a low nProbe
+// without K and gets one neighbor back, a deep search asks for K of them.
+func searchExchanges() [2]searchExchange {
+	query := []float32{0.5, -1.25, 3, 0, -0.75, 2.5, 1e-3, -8}
+	return [2]searchExchange{
+		{&Request{Op: OpSample, Query: query, NProbe: 4, TraceID: 1 << 60},
+			&Response{ShardID: 3, Neighbors: []vec.Neighbor{{ID: 811, Score: 0.93}}, Scanned: 40, ServerNanos: 9000,
+				Costs: []telemetry.QueryCost{{Cells: 4, CodesExclusive: 40}}}},
+		{&Request{Op: OpDeep, Query: query, K: 5, NProbe: 16, TraceID: 1 << 60},
+			&Response{ShardID: 3, Neighbors: []vec.Neighbor{{ID: 811, Score: 0.93}, {ID: 12, Score: 0.9},
+				{ID: 4096, Score: 0.71}, {ID: 7, Score: 0.5}, {ID: 300001, Score: -0.25}}, Scanned: 160, ServerNanos: 21000,
+				Costs: []telemetry.QueryCost{{Cells: 16, CodesExclusive: 160}}}},
 	}
 }
 
@@ -128,21 +164,16 @@ func TestWireRoundTripComplete(t *testing.T) {
 // buffer allocates nothing, and decoding a search response allocates only
 // its result slices (neighbors and the cost entry).
 func TestWireAllocBudgets(t *testing.T) {
-	req := &Request{Op: OpDeep, Query: make([]float32, 32), K: 5, NProbe: 16, TraceID: 1 << 60}
-	for _, resp := range []*Response{
-		{ShardID: 3, Neighbors: make([]vec.Neighbor, 1), Scanned: 40, ServerNanos: 9000,
-			Costs: []telemetry.QueryCost{{Cells: 4, CodesExclusive: 40}}},
-		{ShardID: 3, Neighbors: make([]vec.Neighbor, 5), Scanned: 160, ServerNanos: 21000,
-			Costs: []telemetry.QueryCost{{Cells: 16, CodesExclusive: 160}}},
-	} {
+	for _, ex := range searchExchanges() {
+		req, resp := ex.req, ex.resp
 		buf := make([]byte, 0, 4096)
 		if a := testing.AllocsPerRun(100, func() { buf = appendRequest(buf[:0], 1, req) }); a != 0 {
 			t.Errorf("request encode: %v allocs, want 0", a)
 		}
-		if a := testing.AllocsPerRun(100, func() { buf = appendResponse(buf[:0], 1, OpDeep, resp, time.Time{}) }); a != 0 {
+		if a := testing.AllocsPerRun(100, func() { buf = appendResponse(buf[:0], 1, req.Op, resp, time.Time{}) }); a != 0 {
 			t.Errorf("response encode: %v allocs, want 0", a)
 		}
-		body := appendResponse(nil, 1, OpDeep, resp, time.Time{})[headerSize:]
+		body := appendResponse(nil, 1, req.Op, resp, time.Time{})[headerSize:]
 		a := testing.AllocsPerRun(100, func() {
 			var r Response
 			if err := decodeResponse(body, &r); err != nil {

@@ -21,13 +21,13 @@ import (
 // scripts/verify.sh with a file:line diff instead of waiting for a
 // benchmark to notice the allocs/op change.
 //
-// Evolution mirrors wire.lock: the lock is regenerated only by an explicit
-// `hermes-lint -update-alloclock`, so every budget change is a reviewed
-// commit. Any drift in either direction is a finding — new escapes and lost
-// inlines are regressions to fix; vanished escapes and new inlines are
-// improvements that still require re-recording, keeping the committed
-// artifact byte-identical to a fresh regeneration (the verify.sh
-// staleness gate depends on that).
+// The lock is regenerated only by an explicit `hermes-lint
+// -update-alloclock`, so every budget change is a reviewed commit. Any
+// drift in either direction is a finding — new escapes and lost inlines are
+// regressions to fix; vanished escapes and new inlines are improvements
+// that still require re-recording, keeping the committed artifact
+// byte-identical to a fresh regeneration (the verify.sh staleness gate
+// depends on that).
 //
 // Diagnostics move between toolchains (inlining budgets, the escape
 // analysis itself), so the lock header records the recording `go` version
@@ -281,8 +281,8 @@ func GenerateAllocLock(pkg *Package, escape *EscapeDiags) []byte {
 	return []byte(b.String())
 }
 
-// parseAllocLock reads a lock file back. Like wire.lock, the file is
-// generated, so malformed lines are errors rather than silently skipped.
+// parseAllocLock reads a lock file back. The file is generated, so
+// malformed lines are errors rather than silently skipped.
 func parseAllocLock(data []byte) (*allocLock, error) {
 	lock := &allocLock{Funcs: make(map[string][]allocEntry)}
 	var cur string
@@ -378,11 +378,23 @@ func AllocLockGoVersions(dirs []string) []string {
 	return out
 }
 
-// AllocLockArtifact regenerates alloc.lock for packages with
-// //hermes:hotpath functions (see the escapeaudit analyzer).
-var AllocLockArtifact = &Artifact{
-	Name:     "escapeaudit",
-	Filename: AllocLockFile,
-	Doc:      "compiler escape/inline budget of //hermes:hotpath functions",
-	Generate: GenerateAllocLock,
+// UpdateAllocLocks writes alloc.lock for every package with
+// //hermes:hotpath functions (see the escapeaudit analyzer) and returns the
+// paths written. Analyzers stay read-only; regeneration is this explicit
+// driver action (hermes-lint -update-alloclock), so a budget change is
+// always a reviewed commit, never a side effect of running the linter.
+func UpdateAllocLocks(pkgs []*Package, escape *EscapeDiags) ([]string, error) {
+	var written []string
+	for _, pkg := range pkgs {
+		data := GenerateAllocLock(pkg, escape)
+		if data == nil {
+			continue
+		}
+		path := filepath.Join(pkg.Dir, AllocLockFile)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return written, fmt.Errorf("lint: writing %s: %w", path, err)
+		}
+		written = append(written, path)
+	}
+	return written, nil
 }

@@ -9,8 +9,8 @@ import (
 // ErrDrop flags statements that call a Close/Flush/Sync/Write/Encode-style
 // method and silently discard its error. A dropped Close on the index
 // writer means a truncated shard file that only fails at load time; a
-// dropped Encode on the gob wire means a node and coordinator silently
-// disagree. Deferred calls are exempt (idiomatic best-effort cleanup on
+// dropped Write or Flush on a node connection means a coordinator waits on
+// a frame that never arrives. Deferred calls are exempt (idiomatic best-effort cleanup on
 // read paths), as is an explicit `_ =` assignment, which documents intent.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",

@@ -424,7 +424,6 @@ func TestVerifyScriptCoverage(t *testing.T) {
 		`^go run \./cmd/hermes-lint -diff lint-report\.json -include-tests \./\.\.\.$`,
 		`^go run \./cmd/hermes-lint -facts -json \./\.\.\. > lint-facts\.json\.tmp$`,
 		`^cmp -s lint-facts\.json\.tmp lint-facts\.json \|\| stale="\$stale lint-facts\.json"$`,
-		`^go run \./cmd/hermes-lint -update-wirelock \./\.\.\.$`,
 		`^\s*go run \./cmd/hermes-lint -update-alloclock \./\.\.\.$`,
 		`^recorded=\$\(sed -n 's/\^# go //p' .* \| sort -u\)$`,
 		`^\s*exit 1$`,
@@ -456,34 +455,5 @@ func TestVerifyScriptCoverage(t *testing.T) {
 		if _, err := os.Stat(dir); err != nil {
 			t.Errorf("race-critical package %s: %v", pkg, err)
 		}
-	}
-}
-
-// TestDistsearchWireLockCurrent locks the real serving protocol: the
-// committed internal/distsearch/wire.lock must match the schema derived
-// from the live source, and the wirelock analyzer must be clean on it. If
-// this fails after an intentional append, run hermes-lint -update-wirelock.
-func TestDistsearchWireLockCurrent(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.Load(filepath.Join(l.ModuleRoot, "internal", "distsearch"))
-	if err != nil {
-		t.Fatalf("Load distsearch: %v", err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
-	}
-	pkg := pkgs[0]
-	committed, err := os.ReadFile(filepath.Join(pkg.Dir, WireLockFile))
-	if err != nil {
-		t.Fatalf("reading committed %s: %v", WireLockFile, err)
-	}
-	if got := GenerateWireLock(pkg); string(got) != string(committed) {
-		t.Errorf("committed %s is stale; run `go run ./cmd/hermes-lint -update-wirelock ./internal/distsearch`\n--- generated ---\n%s", WireLockFile, got)
-	}
-	for _, f := range RunPackage(pkg, []*Analyzer{WireLock}) {
-		t.Errorf("unexpected wirelock finding: %s", f)
 	}
 }

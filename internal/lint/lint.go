@@ -3,15 +3,14 @@
 //
 // The paper's headline numbers (hierarchical-search latency, shard load
 // imbalance, the energy model) are only meaningful if the reproduction is
-// deterministic, data-race-free, and wire-stable across rolling upgrades.
-// The framework loads the whole module from source (Loader), runs the
-// cross-package fact engine over the resolved call graph (ComputeFacts — a
-// monotone-fixpoint framework with four registered lattices: io, alloc,
-// acquires, blocks; see factengine.go and Lattices), and runs the analyzer
-// suite over every package with deterministic file:line:col finding order,
+// deterministic and data-race-free. The framework loads the whole module
+// from source (Loader), runs the cross-package fact engine over the
+// resolved call graph (ComputeFacts — a monotone-fixpoint framework with
+// four registered lattices: io, alloc, acquires, blocks; see factengine.go
+// and Lattices), and runs the analyzer suite over every package with deterministic file:line:col finding order,
 // optional machine-readable JSON output (Report), a findings baseline
-// (Baseline), and generated per-package artifacts (Artifacts — the gob
-// wire-schema lock). The analyzers encode the project rules:
+// (Baseline), and the generated per-package alloc.lock budgets
+// (UpdateAllocLocks). The analyzers encode the project rules:
 //
 //   - globalrand:   no package-global math/rand in library code (index
 //     builds must be bit-reproducible from a config seed)
@@ -23,8 +22,6 @@
 //     by value
 //   - errdrop:      no silently discarded errors from Close/Flush/Encode
 //     style calls
-//   - wirelock:     the gob schema of //hermes:wire structs must match the
-//     committed wire.lock; evolution is append-only
 //   - lockheldio:   no mutex held across network/file I/O, channel
 //     operations, or time.Sleep (uses the cross-package I/O facts)
 //   - poolescape:   sync.Pool Get values must not escape via return,
@@ -108,7 +105,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		GlobalRand, WallClock, GoroutineCtx, LockCopy, ErrDrop,
-		WireLock, LockHeldIO, PoolEscape, DeferInLoop, HotPathClock,
+		LockHeldIO, PoolEscape, DeferInLoop, HotPathClock,
 		HotPathAlloc, LockOrder, GoroutineLeak, MetricName,
 		EscapeAudit, CtxFlow, PoolRetain, ChanBound,
 	}
@@ -176,7 +173,7 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	// Dir is the package's directory on disk (for per-package artifacts
-	// such as wire.lock).
+	// such as alloc.lock).
 	Dir string
 	// Facts is the cross-package fact set (nil when running a single
 	// package standalone; Facts methods are nil-tolerant).
@@ -373,4 +370,29 @@ func pkgNameOf(info *types.Info, e ast.Expr) (*types.PkgName, bool) {
 // stay correct if fed files from elsewhere.
 func isTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
+}
+
+// firstPos anchors package-level findings at the first file's package clause.
+func firstPos(files []*ast.File) token.Pos {
+	if len(files) == 0 {
+		return token.NoPos
+	}
+	return files[0].Pos()
+}
+
+// hasDirective reports whether any comment group carries //<directive>
+// (optionally followed by explanatory text after a space).
+func hasDirective(directive string, groups ...*ast.CommentGroup) bool {
+	for _, g := range groups {
+		if g == nil {
+			continue
+		}
+		for _, c := range g.List {
+			text := strings.TrimPrefix(c.Text, "//")
+			if text == directive || strings.HasPrefix(text, directive+" ") {
+				return true
+			}
+		}
+	}
+	return false
 }

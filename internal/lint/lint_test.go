@@ -125,12 +125,12 @@ func TestSelect(t *testing.T) {
 	}{
 		{"", "", []string{
 			"globalrand", "wallclock", "goroutinectx", "lockcopy", "errdrop",
-			"wirelock", "lockheldio", "poolescape", "deferinloop", "hotpathclock",
+			"lockheldio", "poolescape", "deferinloop", "hotpathclock",
 			"hotpathalloc", "lockorder", "goroutineleak", "metricname",
 			"escapeaudit", "ctxflow", "poolretain", "chanbound",
 		}, false},
 		{"globalrand,errdrop", "", []string{"globalrand", "errdrop"}, false},
-		{"", "goroutinectx,wirelock,lockheldio,poolescape,deferinloop,hotpathclock," +
+		{"", "goroutinectx,lockheldio,poolescape,deferinloop,hotpathclock," +
 			"hotpathalloc,lockorder,goroutineleak,metricname," +
 			"escapeaudit,ctxflow,poolretain,chanbound",
 			[]string{"globalrand", "wallclock", "lockcopy", "errdrop"}, false},

@@ -138,27 +138,3 @@ func TestCtxFlow(t *testing.T)      { runWantFixture(t, "ctxflow", []*Analyzer{C
 func TestChanBound(t *testing.T)    { runWantFixture(t, "chanbound", []*Analyzer{ChanBound}) }
 func TestDeferInLoop(t *testing.T)  { runWantFixture(t, "deferinloop", []*Analyzer{DeferInLoop}) }
 func TestHotPathClock(t *testing.T) { runWantFixture(t, "hotpathclock", []*Analyzer{HotPathClock}) }
-
-// TestWireLockBroken exercises every diff class against a lock file that
-// records the pre-refactor schema: moved fields (both directions), a removed
-// field, a type change, an unrecorded append, a vanished struct, and a new
-// unrecorded struct.
-func TestWireLockBroken(t *testing.T) { runWantFixture(t, "wirelockbroken", []*Analyzer{WireLock}) }
-
-// TestWireLockClean pins the happy path: a package whose committed wire.lock
-// matches its //hermes:wire schema yields zero findings, and the committed
-// artifact is byte-identical to what -update-wirelock would regenerate.
-func TestWireLockClean(t *testing.T) {
-	pkg := loadFixture(t, "wirelock")
-	findings := RunPackage(pkg, []*Analyzer{WireLock})
-	for _, f := range findings {
-		t.Errorf("unexpected finding: %s", f)
-	}
-	committed, err := os.ReadFile(filepath.Join(pkg.Dir, WireLockFile))
-	if err != nil {
-		t.Fatalf("reading committed lock: %v", err)
-	}
-	if got := GenerateWireLock(pkg); string(got) != string(committed) {
-		t.Errorf("GenerateWireLock drifted from committed %s:\n--- generated ---\n%s--- committed ---\n%s", WireLockFile, got, committed)
-	}
-}

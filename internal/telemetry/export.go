@@ -8,15 +8,16 @@ import (
 )
 
 // This file is the federation surface of the registry: a structured,
-// gob-friendly export of every family (FamilySnapshot), a merge that folds
+// wire-ready export of every family (FamilySnapshot), a merge that folds
 // many nodes' exports into one cluster view, and the rendering/flattening
 // helpers the coordinator needs to serve the merged view. Snapshot()
 // (registry.go) flattens to strings for human tables; Export() keeps the
 // structure — kinds, bucket layouts, raw bucket counts — that merging needs.
 
-// FamilySnapshot is one metric family exported for federation. The struct is
-// wire-stable: it crosses the distsearch gob protocol inside Response, so it
-// is locked by wire.lock and may only evolve append-only.
+// FamilySnapshot is one metric family exported for federation. It crosses
+// the distsearch wire protocol inside Response, so its fields are part of
+// the protocol: a change to them is a wire version bump, pinned by the
+// golden frames of internal/distsearch/testdata.
 type FamilySnapshot struct {
 	Name string
 	Help string

@@ -274,8 +274,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // Snapshot flattens the registry into metric-key -> value pairs. Counters
 // and gauges map to `name{labels}`; histograms additionally expose
-// `:count`, `:sum`, `:p50`, `:p95`, and `:p99` suffixes. The map is
-// gob-friendly, which is how a node ships its full telemetry over OpStats.
+// `:count`, `:sum`, `:p50`, `:p95`, and `:p99` suffixes. The map travels
+// in Response.Telemetry, which is how a node ships its full telemetry over
+// OpStats.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	if r == nil {

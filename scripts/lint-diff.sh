@@ -11,18 +11,19 @@
 #    _test.go files (TestFiles-capable checks only).
 #
 # 2. Artifact identity gate. Every committed lint artifact — the accepted
-#    report, the fact-lattice dump (lint-facts.json), the wire.lock schema
-#    budgets, and the alloc.lock escape budgets — must be byte-identical to
-#    a fresh regeneration. Each is regenerated IN PLACE below and compared
-#    against the committed bytes; on drift the script exits 1 naming the
-#    stale files, which are left refreshed on disk — review the diff and
-#    commit them as part of the change.
+#    report, the fact-lattice dump (lint-facts.json), and the alloc.lock
+#    escape budgets — must be byte-identical to a fresh regeneration. Each
+#    is regenerated IN PLACE below and compared against the committed
+#    bytes; on drift the script exits 1 naming the stale files, which are
+#    left refreshed on disk — review the diff and commit them as part of
+#    the change.
 #
 # alloc.lock is toolchain-specific (see its `# go <version>` header): when
 # the running toolchain differs from the recorded one, its regeneration is
 # skipped with a warning instead of churning every budget — the same policy
-# as the driver's escapeaudit version gate. wire.lock regeneration is pure
-# AST and always runs.
+# as the driver's escapeaudit version gate. (The wire protocol's guard is
+# not a lint artifact: its golden frames are checked by go test, see
+# internal/distsearch/golden_test.go.)
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -40,17 +41,15 @@ mv lint-facts.json.tmp lint-facts.json
 # Lock budgets: snapshot the committed bytes, regenerate in place, compare.
 # Fixture locks under testdata are hand-written against fabricated
 # diagnostics (fake toolchain header on purpose) — never regenerated here.
-locks=$(find internal -path '*/testdata/*' -prune -o \( -name wire.lock -o -name alloc.lock \) -print | sort)
+locks=$(find internal -path '*/testdata/*' -prune -o -name alloc.lock -print | sort)
 snapdir=$(mktemp -d)
 trap 'rm -rf "$snapdir"' EXIT
 for f in $locks; do
     mkdir -p "$snapdir/$(dirname "$f")"
     cp "$f" "$snapdir/$f"
 done
-go run ./cmd/hermes-lint -update-wirelock ./...
 goversion=$(go env GOVERSION)
-allocs=$(find internal -path '*/testdata/*' -prune -o -name alloc.lock -print)
-recorded=$(sed -n 's/^# go //p' $allocs | sort -u)
+recorded=$(sed -n 's/^# go //p' $locks | sort -u)
 if [ "$recorded" = "$goversion" ]; then
     go run ./cmd/hermes-lint -update-alloclock ./...
 else
