@@ -36,6 +36,8 @@ type Node struct {
 	// OpRemove take the write lock (ivf.Index permits concurrent reads but
 	// not read/write races).
 	idxMu sync.RWMutex
+	// searchers recycles the executors of the search ops across requests.
+	searchers sync.Pool
 
 	// Served-request counters (atomic).
 	sampleServed, deepServed, mutationsServed int64
@@ -283,18 +285,8 @@ func (n *Node) handle(req *Request, arrival, decodeDone time.Time) *Response {
 	switch req.Op {
 	case OpInfo:
 		return &Response{ShardID: n.shardID, Size: n.index.Len(), Dim: n.index.Dim(), Centroid: n.meanCentroid()}
-	case OpSample:
-		atomic.AddInt64(&n.sampleServed, 1)
-		return n.searchResp(req, 1, req.NProbe, arrival, decodeDone)
-	case OpDeep:
-		atomic.AddInt64(&n.deepServed, 1)
-		return n.searchResp(req, req.K, req.NProbe, arrival, decodeDone)
-	case OpSampleBatch:
-		atomic.AddInt64(&n.sampleServed, int64(len(req.Queries)))
-		return n.handleBatch(req, 1, req.NProbe, arrival, decodeDone)
-	case OpDeepBatch:
-		atomic.AddInt64(&n.deepServed, int64(len(req.Queries)))
-		return n.handleBatch(req, req.K, req.NProbe, arrival, decodeDone)
+	case OpSample, OpDeep, OpSampleBatch, OpDeepBatch:
+		return n.search(req, arrival, decodeDone)
 	case OpAdd:
 		if err := n.index.Add(req.ID, req.Query); err != nil {
 			return &Response{Err: err.Error()}
@@ -337,132 +329,96 @@ func (n *Node) meanCentroid() []float32 {
 	return out
 }
 
-// searchResp serves one single-query search. Untraced requests take the
-// clock-free path; a traced request (TraceID != 0) runs the phased search
-// and ships the per-phase spans in the response. Either way the response
-// carries the query's cost-ledger entry: a solo query's codes are all
-// exclusive, and its scan time (traced only) is the measured list-scan phase.
-func (n *Node) searchResp(req *Request, k, nProbe int, arrival, decodeDone time.Time) *Response {
-	if req.TraceID == 0 {
-		res, st := n.scan(req.Query, k, nProbe)
-		return &Response{
-			ShardID:   n.shardID,
-			Neighbors: res,
-			Scanned:   int64(st.VectorsScanned),
-			Costs:     []telemetry.QueryCost{soloCost(st, 0)},
-		}
+// search serves the four search ops through one ivf executor. A grouped
+// batch runs as one batch: queries probing the same IVF cell share one code
+// stream, Scanned reports the vectors actually streamed (distinct), and the
+// ledger attributes that traffic back to the member queries (exclusive vs
+// amortized, summing exactly to Scanned). Otherwise every query runs as its
+// own batch of one: Scanned is the sum of the solo scans, every code is
+// exclusive, and the shard's scan histogram is observed per query. A traced
+// request times the batches into one phase breakdown, shipped as one
+// probe_select/list_scan/topk_merge span sequence; a solo query's ScanNanos
+// is its own measured list-scan time, a grouped query's its
+// codes-proportional share of the batch's. A single op answers in
+// Neighbors, a batch op in Batch.
+func (n *Node) search(req *Request, arrival, decodeDone time.Time) *Response {
+	single := req.Op == OpSample || req.Op == OpDeep
+	queries := req.Queries
+	var one [1][]float32
+	if single {
+		one[0] = req.Query
+		queries = one[:]
 	}
-	scanStart := now()
-	res, st, ph := n.scanPhased(req.Query, k, nProbe)
-	return &Response{
-		ShardID:   n.shardID,
-		Neighbors: res,
-		Scanned:   int64(st.VectorsScanned),
-		Costs:     []telemetry.QueryCost{soloCost(st, ph.Scan)},
-		Spans:     n.tracedSpans(arrival, decodeDone, scanStart, ph),
+	k, served := req.K, &n.deepServed
+	if req.Op == OpSample || req.Op == OpSampleBatch {
+		k, served = 1, &n.sampleServed
 	}
-}
+	atomic.AddInt64(served, int64(len(queries)))
+	// Grouping applies to batch ops; a single op is a batch of one anyway.
+	grouped := req.Grouped && !single
+	step := 1
+	if grouped {
+		step = len(queries)
+	}
 
-// soloCost is the ledger entry of a query that shared nothing: every scanned
-// code is exclusive, no cells were co-probed.
-func soloCost(st ivf.SearchStats, scanNanos int64) telemetry.QueryCost {
-	return telemetry.QueryCost{
-		Cells:          int64(st.CellsProbed),
-		CodesExclusive: int64(st.VectorsScanned),
-		ScanNanos:      scanNanos,
+	s, _ := n.searchers.Get().(*ivf.Searcher)
+	if s == nil {
+		s = n.index.NewSearcher()
 	}
-}
-
-func (n *Node) handleBatch(req *Request, k, nProbe int, arrival, decodeDone time.Time) *Response {
-	if req.Grouped {
-		// Grouped execution is first-class traced or not (ISSUE 9): a traced
-		// batch runs the same grouped scan phased, shipping one span per
-		// shared phase plus the per-query attribution ledger — no per-query
-		// fallback, so tracing no longer changes what gets measured.
-		return n.groupedBatch(req, k, nProbe, arrival, decodeDone)
-	}
-	batch := make([][]vec.Neighbor, len(req.Queries))
-	costs := make([]telemetry.QueryCost, len(req.Queries))
-	traced := req.TraceID != 0
-	var scanned int64
-	var agg ivf.PhaseNanos
+	defer n.searchers.Put(s)
+	var ph ivf.PhaseNanos
+	var timed *ivf.PhaseNanos
 	scanStart := decodeDone
-	if traced {
-		scanStart = now()
+	if req.TraceID != 0 {
+		timed, scanStart = &ph, now()
 	}
-	for i, q := range req.Queries {
-		if traced {
-			res, st, ph := n.scanPhased(q, k, nProbe)
-			batch[i] = res
-			costs[i] = soloCost(st, ph.Scan)
-			scanned += int64(st.VectorsScanned)
-			agg.Add(ph)
-		} else {
-			res, st := n.scan(q, k, nProbe)
-			batch[i] = res
-			costs[i] = soloCost(st, 0)
-			scanned += int64(st.VectorsScanned)
+	resp := &Response{ShardID: n.shardID, Costs: make([]telemetry.QueryCost, len(queries))}
+	if !single {
+		resp.Batch = make([][]vec.Neighbor, len(queries))
+	}
+	for b := 0; b < len(queries); b += step {
+		var stop func()
+		if !grouped {
+			stop = n.met.scanSeconds.Timer()
+		}
+		scan0 := ph.Scan
+		st := s.SearchGroup(queries[b:b+step], k, req.NProbe, timed)
+		if stop != nil {
+			stop()
+		}
+		resp.Scanned += int64(st.VectorsScanned)
+		for i := 0; i < step; i++ {
+			if single {
+				resp.Neighbors = s.AppendResults(i, nil)
+			} else {
+				resp.Batch[b+i] = s.AppendResults(i, nil)
+			}
+			c := s.CostStats(i)
+			resp.Costs[b+i] = telemetry.QueryCost{
+				Cells:          int64(c.CellsProbed),
+				SharedCells:    int64(c.SharedCells),
+				CodesExclusive: c.CodesExclusive,
+				CodesAmortized: c.CodesAmortized,
+			}
+			if !grouped {
+				resp.Costs[b+i].ScanNanos = ph.Scan - scan0
+			}
+		}
+		if grouped {
+			n.met.groupscanQueries.Add(int64(len(queries)))
+			n.met.groupscanShared.Add(int64(st.SharedCellScans))
 		}
 	}
-	resp := &Response{ShardID: n.shardID, Batch: batch, Scanned: scanned, Costs: costs}
-	if traced {
-		// A batch interleaves the three phases query by query; the shipped
-		// spans consolidate them into one select/scan/merge sequence whose
-		// durations are the per-phase sums — busy time is exact, the
-		// offsets within the batch are a presentation choice.
-		resp.Spans = n.tracedSpans(arrival, decodeDone, scanStart, agg)
-	}
-	return resp
-}
-
-// groupedBatch serves a batch op through the multi-query grouped cell scan:
-// queries probing the same IVF cell share one code stream. The result set is
-// identical to per-query execution; Scanned reports the vectors actually
-// streamed (distinct), so on an overlapping batch it is smaller than the
-// per-query path would report — that gap is the work the grouping saved.
-// Costs attributes that distinct traffic back to the member queries
-// (exclusive vs amortized, summing exactly to Scanned), and a traced request
-// additionally runs the scan phased: the shared phases ship as one
-// probe_select/list_scan/topk_merge span sequence for the whole batch, and
-// each query's ScanNanos carries its codes-proportional share of the
-// measured list-scan time.
-func (n *Node) groupedBatch(req *Request, k, nProbe int, arrival, decodeDone time.Time) *Response {
-	traced := req.TraceID != 0
-	scanStart := decodeDone
-	if traced {
-		scanStart = now()
-	}
-	// scanSeconds is deliberately not observed here: it is a per-query
-	// histogram and the grouped scan has no per-query wall time — one
-	// observation per batch would skew its quantiles.
-	batch, stats, ph, gcosts := n.index.SearchGroupCosted(req.Queries, k, nProbe, traced)
-	n.met.groupscanQueries.Add(int64(len(req.Queries)))
-	n.met.groupscanShared.Add(int64(stats.SharedCellScans))
-	costs := make([]telemetry.QueryCost, len(gcosts))
-	for i, c := range gcosts {
-		costs[i] = telemetry.QueryCost{
-			Cells:          int64(c.CellsProbed),
-			SharedCells:    int64(c.SharedCells),
-			CodesExclusive: c.CodesExclusive,
-			CodesAmortized: c.CodesAmortized,
-		}
-	}
-	if traced && ph.Scan > 0 {
-		weights := make([]int64, len(costs))
-		for i := range costs {
-			weights[i] = costs[i].Codes()
+	if grouped && ph.Scan > 0 {
+		weights := make([]int64, len(resp.Costs))
+		for i := range resp.Costs {
+			weights[i] = resp.Costs[i].Codes()
 		}
 		for i, share := range telemetry.AttributeTotal(ph.Scan, weights) {
-			costs[i].ScanNanos = share
+			resp.Costs[i].ScanNanos = share
 		}
 	}
-	resp := &Response{
-		ShardID: n.shardID,
-		Batch:   batch,
-		Scanned: int64(stats.VectorsScanned),
-		Costs:   costs,
-	}
-	if traced {
+	if timed != nil {
 		resp.Spans = n.tracedSpans(arrival, decodeDone, scanStart, ph)
 	}
 	return resp
@@ -483,24 +439,6 @@ func (n *Node) tracedSpans(arrival, decodeDone, scanStart time.Time, ph ivf.Phas
 		WireSpan{Name: "list_scan", Node: n.shardID, OffsetNanos: scan, DurNanos: ph.Scan},
 		WireSpan{Name: "topk_merge", Node: n.shardID, OffsetNanos: merge, DurNanos: ph.Merge},
 	)
-}
-
-// scan runs one index search, timing it against the shard's per-quantizer
-// scan histogram (protocol decode/encode excluded). It returns the
-// neighbors and the search stats (cells probed, vectors scanned).
-func (n *Node) scan(q []float32, k, nProbe int) ([]vec.Neighbor, ivf.SearchStats) {
-	stop := n.met.scanSeconds.Timer()
-	res, st := n.index.SearchWithStats(q, k, nProbe)
-	stop()
-	return res, st
-}
-
-// scanPhased is scan with the per-phase breakdown, for traced requests.
-func (n *Node) scanPhased(q []float32, k, nProbe int) ([]vec.Neighbor, ivf.SearchStats, ivf.PhaseNanos) {
-	stop := n.met.scanSeconds.Timer()
-	res, st, ph := n.index.SearchPhased(q, k, nProbe)
-	stop()
-	return res, st, ph
 }
 
 func (n *Node) isClosed() bool {

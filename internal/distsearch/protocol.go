@@ -71,9 +71,9 @@ type Request struct {
 	// TraceID carries the coordinator-minted request-scoped trace ID; 0
 	// means untraced.
 	TraceID uint64
-	// Grouped asks the node to execute OpSampleBatch/OpDeepBatch through
-	// the multi-query grouped cell scan (ivf.SearchGroup): queries probing
-	// the same IVF cell share one code stream. Results are the same set as
+	// Grouped asks the node to execute OpSampleBatch/OpDeepBatch as one
+	// shared-scan batch (ivf.Searcher.SearchGroup): queries probing the
+	// same IVF cell share one code stream. Results are the same set as
 	// per-query execution, so the flag is purely an execution hint.
 	Grouped bool
 }

@@ -175,7 +175,7 @@ type nodeMetrics struct {
 	// scheme scan" per node; the coordinator -stats view surfaces its p95.
 	scanSeconds *telemetry.Histogram
 	// groupscanQueries / groupscanShared account the grouped batch path:
-	// queries served through ivf.SearchGroup and the per-cell code streams
+	// queries served as one ivf.Searcher batch and the per-cell code streams
 	// the grouping avoided versus per-query execution.
 	groupscanQueries *telemetry.Counter
 	groupscanShared  *telemetry.Counter

@@ -145,7 +145,7 @@ type searchExchange struct {
 }
 
 // searchExchanges returns one OpSample and one OpDeep exchange shaped as the
-// coordinator and Node.searchResp build them: a sample asks a low nProbe
+// coordinator and Node.search build them: a sample asks a low nProbe
 // without K and gets one neighbor back, a deep search asks for K of them.
 func searchExchanges() [2]searchExchange {
 	query := []float32{0.5, -1.25, 3, 0, -0.75, 2.5, 1e-3, -8}

@@ -93,14 +93,20 @@ func TestNilLogIsSafe(t *testing.T) {
 
 // TestEmitAllocs pins the hot-path contract: emitting with constructor-built
 // fields allocates nothing — on a nil (disabled) log, which is what gated
-// //hermes:hotpath call sites rely on, and on an enabled log, whose ring
-// slots are preallocated.
+// //hermes:hotpath call sites rely on, below a log's level floor, and on an
+// enabled log, whose ring slots are preallocated.
 func TestEmitAllocs(t *testing.T) {
 	var nilLog *Log
 	if got := testing.AllocsPerRun(100, func() {
 		nilLog.Warn("deadline.hit", Int("shard", 3), Dur("after", time.Second), Str("addr", "x"))
 	}); got != 0 {
 		t.Errorf("disabled emit allocates %v/op, want 0", got)
+	}
+	leveled := New(Config{Capacity: 64, MinLevel: LevelError})
+	if got := testing.AllocsPerRun(100, func() {
+		leveled.Info("deadline.hit", Int("shard", 3), Dur("after", time.Second), Str("addr", "x"))
+	}); got != 0 {
+		t.Errorf("emit below the level floor allocates %v/op, want 0", got)
 	}
 	freezeClock(t)
 	l := New(Config{Capacity: 64, RatePerSec: 1e9, Burst: 1})

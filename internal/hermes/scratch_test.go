@@ -3,6 +3,9 @@ package hermes
 import (
 	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/evlog"
 )
 
 // TestSearchScratchReuseIsDeterministic pins the pooled-scratch search paths
@@ -42,7 +45,10 @@ func TestSearchScratchReuseIsDeterministic(t *testing.T) {
 
 // TestSearchScratchSteadyStateAllocs bounds per-query heap allocations on the
 // full hierarchical path: with warmed pool scratch only the caller-visible
-// outputs (result slice, DeepShards) may allocate.
+// outputs (result slice, DeepShards) may allocate. A second case arms the
+// slow-scan detector with a threshold no scan crosses: it reads the clock
+// around every shard scan, but arming events must not add a single
+// allocation to the scan path.
 func TestSearchScratchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool puts, inflating alloc counts")
@@ -51,16 +57,24 @@ func TestSearchScratchSteadyStateAllocs(t *testing.T) {
 	st := buildStore(t, c.Vectors, 4)
 	q := c.Queries(1, 13).Vectors.Row(0)
 	p := DefaultParams()
-	for i := 0; i < 4; i++ { // warm the pool scratch
-		st.Search(q, p)
+	measure := func() float64 {
+		for i := 0; i < 4; i++ { // warm the pool scratch
+			st.Search(q, p)
+		}
+		return testing.AllocsPerRun(50, func() {
+			st.Search(q, p)
+		})
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		st.Search(q, p)
-	})
+	allocs := measure()
 	// Expected survivors: the results slice and the DeepShards slice (each
 	// possibly with one growth step). Anything above that means scratch
 	// leaked back into the hot path.
 	if allocs > 4 {
 		t.Fatalf("%v allocations per hierarchical search, want <= 4", allocs)
+	}
+	st.SetEvents(evlog.New(evlog.Config{Capacity: 64}), time.Hour)
+	defer st.SetEvents(nil, 0)
+	if armed := measure(); armed != allocs {
+		t.Fatalf("armed-quiet slow-scan detector: %v allocations per search, want %v as unarmed", armed, allocs)
 	}
 }

@@ -22,7 +22,7 @@ func TestSearchGroupCostConservation(t *testing.T) {
 			for i := range qs {
 				qs[i] = queries.Row(i)
 			}
-			_, stats, _, costs := ix.SearchGroupCosted(qs, 7, 4, false)
+			_, stats, costs := searchGroup(ix, qs, 7, 4, nil)
 			var codes int64
 			var cells, sharedCells int
 			for qi, c := range costs {
@@ -56,10 +56,10 @@ func TestSearchGroupCostConservation(t *testing.T) {
 	}
 }
 
-// TestSearchGroupCostedPhasedEquivalence pins phased grouped execution to the
-// untraced path: identical neighbors and identical ledger entries — phasing
-// only adds timestamps around the same code — with the phase breakdown
-// populated only when asked for.
+// TestSearchGroupCostedPhasedEquivalence pins a batch given a *PhaseNanos to
+// the untimed path: identical neighbors and identical ledger entries —
+// timing only adds timestamps around the same code — with the phase
+// breakdown populated only when asked for.
 func TestSearchGroupCostedPhasedEquivalence(t *testing.T) {
 	data := gaussianData(600, 8, 181)
 	queries := gaussianData(9, 8, 182)
@@ -68,8 +68,9 @@ func TestSearchGroupCostedPhasedEquivalence(t *testing.T) {
 	for i := range qs {
 		qs[i] = queries.Row(i)
 	}
-	plain, pStats, pPh, pCosts := ix.SearchGroupCosted(qs, 5, 3, false)
-	phased, tStats, tPh, tCosts := ix.SearchGroupCosted(qs, 5, 3, true)
+	var tPh PhaseNanos
+	plain, pStats, pCosts := searchGroup(ix, qs, 5, 3, nil)
+	phased, tStats, tCosts := searchGroup(ix, qs, 5, 3, &tPh)
 	if !reflect.DeepEqual(plain, phased) {
 		t.Fatalf("phased results diverge:\n%v\n%v", plain, phased)
 	}
@@ -78,9 +79,6 @@ func TestSearchGroupCostedPhasedEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(pCosts, tCosts) {
 		t.Fatalf("ledgers diverge:\n%+v\n%+v", pCosts, tCosts)
-	}
-	if pPh != (PhaseNanos{}) {
-		t.Fatalf("untraced run read the clock: %+v", pPh)
 	}
 	if tPh.Select <= 0 || tPh.Scan <= 0 || tPh.Merge <= 0 {
 		t.Fatalf("phased run missing phase time: %+v", tPh)
@@ -93,7 +91,8 @@ func TestSearchGroupCostedEarlyReturn(t *testing.T) {
 	data := gaussianData(200, 8, 191)
 	ix := buildIndex(t, data, Config{Dim: 8, NList: 4, Seed: 7})
 	qs := [][]float32{data.Row(0), data.Row(1)}
-	_, _, ph, costs := ix.SearchGroupCosted(qs, 0, 3, true)
+	var ph PhaseNanos
+	_, _, costs := searchGroup(ix, qs, 0, 3, &ph)
 	if len(costs) != len(qs) {
 		t.Fatalf("got %d ledger entries, want %d", len(costs), len(qs))
 	}
@@ -114,7 +113,7 @@ func TestSearchGroupCostLedgerZeroAlloc(t *testing.T) {
 	data := gaussianData(600, 16, 195)
 	queries := gaussianData(8, 16, 196)
 	ix := buildIndex(t, data, Config{Dim: 16, NList: 8, Seed: 5})
-	g := ix.NewGroupSearcher()
+	g := ix.NewSearcher()
 	qs := make([][]float32, queries.Len())
 	for i := range qs {
 		qs[i] = queries.Row(i)
@@ -122,14 +121,14 @@ func TestSearchGroupCostLedgerZeroAlloc(t *testing.T) {
 	buf := make([]CostStats, len(qs))
 	out := make([]vec.Neighbor, 0, 16)
 	for warm := 0; warm < 3; warm++ {
-		g.Search(qs, 8, 6)
+		g.SearchGroup(qs, 8, 6, nil)
 		for i := range qs {
 			out = g.AppendResults(i, out[:0])
 			buf[i] = g.CostStats(i)
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		g.Search(qs, 8, 6)
+		g.SearchGroup(qs, 8, 6, nil)
 		for i := range qs {
 			out = g.AppendResults(i, out[:0])
 			buf[i] = g.CostStats(i)

@@ -4,55 +4,21 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/vec"
 )
 
-// TestSearchGroupEquivalence pins the grouped scan to the sequential path for
-// every kernel and both encoding modes: same neighbors, same scores, same
-// per-query work stats, plus the shared-scan accounting identities.
-func TestSearchGroupEquivalence(t *testing.T) {
-	data := gaussianData(700, 16, 71)
-	queries := gaussianData(12, 16, 72)
-	for name, cfg := range searchConfigs(t, 16) {
-		t.Run(name, func(t *testing.T) {
-			ix := buildIndex(t, data, cfg)
-			qs := make([][]float32, queries.Len())
-			for i := range qs {
-				qs[i] = queries.Row(i)
-			}
-			got, stats := ix.SearchGroup(qs, 7, 4)
-			if stats.Queries != len(qs) {
-				t.Fatalf("stats.Queries = %d, want %d", stats.Queries, len(qs))
-			}
-			logical := 0
-			g := ix.getGroupSearcher() // fresh or pooled; re-run to read QueryStats
-			// Deferred so a Fatalf in the loop below cannot skip the Put
-			// and leak the searcher — the bracket shape poolretain endorses.
-			defer ix.groupPool.Put(g)
-			g.Search(qs, 7, 4)
-			for qi, q := range qs {
-				want, wantStats := ix.SearchWithStats(q, 7, 4)
-				if !reflect.DeepEqual(got[qi], want) {
-					t.Fatalf("query %d: grouped %v != sequential %v", qi, got[qi], want)
-				}
-				if qst := g.QueryStats(qi); qst != wantStats {
-					t.Fatalf("query %d: grouped stats %+v != sequential %+v", qi, qst, wantStats)
-				}
-				logical += wantStats.VectorsScanned
-			}
-			// Shared streams must never exceed the per-query logical work,
-			// and the savings counter must account for every duplicate probe.
-			if stats.VectorsScanned > logical {
-				t.Fatalf("streamed %d vectors > %d logical", stats.VectorsScanned, logical)
-			}
-			totalProbes := len(qs) * 4
-			if stats.CellsScanned+stats.SharedCellScans != totalProbes {
-				t.Fatalf("cells %d + shared %d != %d probes", stats.CellsScanned, stats.SharedCellScans, totalProbes)
-			}
-		})
+// searchGroup runs qs as one batch on a fresh Searcher and collects every
+// query's answer and ledger entry.
+func searchGroup(ix *Index, qs [][]float32, k, nProbe int, ph *PhaseNanos) ([][]vec.Neighbor, GroupStats, []CostStats) {
+	s := ix.NewSearcher()
+	stats := s.SearchGroup(qs, k, nProbe, ph)
+	out := make([][]vec.Neighbor, len(qs))
+	costs := make([]CostStats, len(qs))
+	for i := range qs {
+		out[i], costs[i] = s.AppendResults(i, nil), s.CostStats(i)
 	}
+	return out, stats, costs
 }
 
 // TestSearchGroupTombstones exercises the grouped dead-position cursor:
@@ -71,7 +37,7 @@ func TestSearchGroupTombstones(t *testing.T) {
 	for i := range qs {
 		qs[i] = data.Row(i * 13)
 	}
-	got, stats := ix.SearchGroup(qs, 20, ix.NList())
+	got, stats, _ := searchGroup(ix, qs, 20, ix.NList(), nil)
 	// All queries probe all 3 cells, so the shared stream covers each live
 	// vector exactly once.
 	if stats.VectorsScanned != ix.Len() {
@@ -93,62 +59,21 @@ func TestSearchGroupTombstones(t *testing.T) {
 	}
 }
 
-// TestSearchGroupProperty is the randomized grouped/sequential equivalence
-// property across batch shapes: random corpus, quantizer, residual mode,
-// batch size, k, nProbe, and tombstones — grouped results must always match
-// per-query execution.
-func TestSearchGroupProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		ix, n, err := randomIndex(seed)
-		if err != nil {
-			t.Logf("build: %v", err)
-			return false
-		}
-		rng := rand.New(rand.NewSource(seed + 5))
-		for i := 0; i < rng.Intn(n/4+1); i++ {
-			ix.Remove(int64(rng.Intn(n)))
-		}
-		batch := rng.Intn(16) + 1
-		qs := make([][]float32, batch)
-		for i := range qs {
-			q := make([]float32, ix.Dim())
-			for d := range q {
-				q[d] = float32(rng.NormFloat64())
-			}
-			qs[i] = q
-		}
-		k := rng.Intn(10) + 1
-		nProbe := rng.Intn(ix.NList()) + 1
-		got, stats := ix.SearchGroup(qs, k, nProbe)
-		for qi, q := range qs {
-			want, _ := ix.SearchWithStats(q, k, nProbe)
-			if !reflect.DeepEqual(got[qi], want) {
-				t.Logf("seed %d query %d: grouped %v != sequential %v", seed, qi, got[qi], want)
-				return false
-			}
-		}
-		return stats.CellsScanned+stats.SharedCellScans == batch*nProbe
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSearchGroupReuse runs batches of shrinking and growing sizes through
-// one pooled GroupSearcher: stale slots from a bigger batch must never leak
-// into a smaller one, and an early-returning search must not surface the
-// previous batch's results.
+// one Searcher: stale slots from a bigger batch must never leak into a
+// smaller one, and an early-returning search must not surface the previous
+// batch's results.
 func TestSearchGroupReuse(t *testing.T) {
 	data := gaussianData(300, 8, 91)
 	queries := gaussianData(9, 8, 92)
 	ix := buildIndex(t, data, Config{Dim: 8, NList: 6, Seed: 3})
-	g := ix.NewGroupSearcher()
+	g := ix.NewSearcher()
 	for _, size := range []int{9, 3, 1, 6, 9} {
 		qs := make([][]float32, size)
 		for i := range qs {
 			qs[i] = queries.Row(i)
 		}
-		g.Search(qs, 5, 3)
+		g.SearchGroup(qs, 5, 3, nil)
 		for qi, q := range qs {
 			want, _ := ix.SearchWithStats(q, 5, 3)
 			got := g.AppendResults(qi, nil)
@@ -162,36 +87,36 @@ func TestSearchGroupReuse(t *testing.T) {
 	}
 	// k <= 0 returns early; the previous batch's retained slots must stay
 	// invisible.
-	g.Search([][]float32{queries.Row(0)}, 0, 3)
+	g.SearchGroup([][]float32{queries.Row(0)}, 0, 3, nil)
 	if res := g.AppendResults(0, nil); res != nil {
 		t.Fatalf("early-return search surfaced stale results %v", res)
 	}
 }
 
 // TestSearchGroupZeroAlloc is the grouped steady-state allocation contract:
-// a warmed GroupSearcher serving a constant batch shape performs zero heap
-// allocations per batch, for every kernel and in residual mode. This is the
-// //hermes:hotpath guarantee BENCH_PR8 enforces end to end.
+// a warmed Searcher serving a constant batch shape performs zero heap
+// allocations per batch, for every kernel and in residual mode — the
+// //hermes:hotpath guarantee of the shared scan.
 func TestSearchGroupZeroAlloc(t *testing.T) {
 	data := gaussianData(600, 16, 95)
 	queries := gaussianData(8, 16, 96)
 	for name, cfg := range searchConfigs(t, 16) {
 		t.Run(name, func(t *testing.T) {
 			ix := buildIndex(t, data, cfg)
-			g := ix.NewGroupSearcher()
+			g := ix.NewSearcher()
 			qs := make([][]float32, queries.Len())
 			for i := range qs {
 				qs[i] = queries.Row(i)
 			}
 			dst := make([]vec.Neighbor, 0, 16)
 			for warm := 0; warm < 3; warm++ {
-				g.Search(qs, 8, 6)
+				g.SearchGroup(qs, 8, 6, nil)
 				for i := range qs {
 					dst = g.AppendResults(i, dst[:0])
 				}
 			}
 			allocs := testing.AllocsPerRun(20, func() {
-				g.Search(qs, 8, 6)
+				g.SearchGroup(qs, 8, 6, nil)
 				for i := range qs {
 					dst = g.AppendResults(i, dst[:0])
 				}
@@ -215,8 +140,8 @@ func TestPredictCells(t *testing.T) {
 	}
 	s := ix.NewSearcher()
 	s.Search(nil, q, 3, 4)
-	if !reflect.DeepEqual(cells, s.cells) {
-		t.Fatalf("predicted %v != searched %v", cells, s.cells)
+	if !reflect.DeepEqual(cells, s.slots[0].cells) {
+		t.Fatalf("predicted %v != searched %v", cells, s.slots[0].cells)
 	}
 	// Clamps mirror the search path; reuse of dst keeps the caller alloc-free.
 	cells = ix.PredictCells(cells, q, 99)
@@ -232,9 +157,10 @@ func TestPredictCells(t *testing.T) {
 	}
 }
 
-// BenchmarkGroupScan contrasts the grouped scan against per-query execution
-// on a cell-skewed batch: 16 queries drawn from a handful of topic centers so
-// their probe sets overlap heavily — the batcher's steady-state shape.
+// BenchmarkGroupScan contrasts one shared batch against the same queries as
+// batches of one on a cell-skewed batch: 16 queries drawn from a handful of
+// topic centers so their probe sets overlap heavily — the batcher's
+// steady-state shape.
 func BenchmarkGroupScan(b *testing.B) {
 	const dim, batch = 64, 16
 	data := gaussianData(20000, dim, 1)
@@ -260,13 +186,13 @@ func BenchmarkGroupScan(b *testing.B) {
 		qs[i] = q
 	}
 	b.Run("grouped", func(b *testing.B) {
-		g := ix.NewGroupSearcher()
+		g := ix.NewSearcher()
 		dst := make([]vec.Neighbor, 0, 16)
-		g.Search(qs, 10, 8)
+		g.SearchGroup(qs, 10, 8, nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			g.Search(qs, 10, 8)
+			g.SearchGroup(qs, 10, 8, nil)
 			for qi := range qs {
 				dst = g.AppendResults(qi, dst[:0])
 			}

@@ -12,7 +12,6 @@ package ivf
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/kmeans"
@@ -81,8 +80,6 @@ type Index struct {
 	deadCount int
 	// pool recycles Searcher scratch across Search calls.
 	pool sync.Pool
-	// groupPool recycles GroupSearcher scratch across SearchGroup calls.
-	groupPool sync.Pool
 }
 
 type invList struct {
@@ -222,66 +219,9 @@ func (ix *Index) Search(q []float32, k, nProbe int) []vec.Neighbor {
 // returned result slice; callers that also want to amortize that should hold
 // their own Searcher and use its append API.
 func (ix *Index) SearchWithStats(q []float32, k, nProbe int) ([]vec.Neighbor, SearchStats) {
-	if !ix.trained || k <= 0 || ix.count == 0 {
-		return nil, SearchStats{}
-	}
 	s := ix.getSearcher()
-	res, stats := s.Search(nil, q, k, nProbe)
-	ix.pool.Put(s)
-	return res, stats
-}
-
-// SearchPhased is SearchWithStats plus a per-phase wall-time breakdown
-// (probe-cell selection / list scan / top-k merge) for traced queries.
-func (ix *Index) SearchPhased(q []float32, k, nProbe int) ([]vec.Neighbor, SearchStats, PhaseNanos) {
-	if !ix.trained || k <= 0 || ix.count == 0 {
-		return nil, SearchStats{}, PhaseNanos{}
-	}
-	s := ix.getSearcher()
-	res, stats, ph := s.SearchPhased(nil, q, k, nProbe)
-	ix.pool.Put(s)
-	return res, stats, ph
-}
-
-// BatchResult couples a query's neighbors with its work stats.
-type BatchResult struct {
-	Neighbors []vec.Neighbor
-	Stats     SearchStats
-}
-
-// SearchBatch searches all queries with a pool of GOMAXPROCS workers pulling
-// from a shared queue — the greedy one-thread-per-query work-stealing
-// schedule the paper attributes to FAISS batch handling.
-func (ix *Index) SearchBatch(queries *vec.Matrix, k, nProbe int) []BatchResult {
-	n := queries.Len()
-	out := make([]BatchResult, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			out[i].Neighbors, out[i].Stats = ix.SearchWithStats(queries.Row(i), k, nProbe)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i].Neighbors, out[i].Stats = ix.SearchWithStats(queries.Row(i), k, nProbe)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
+	defer ix.pool.Put(s)
+	return s.Search(nil, q, k, nProbe)
 }
 
 // ListSizes returns the per-cell vector counts, used to study cell imbalance.

@@ -115,10 +115,9 @@ func TestRecallImprovesWithNProbe(t *testing.T) {
 	truth := ref.GroundTruth(queries, 10)
 
 	recallAt := func(nProbe int) float64 {
-		res := ix.SearchBatch(queries, 10, nProbe)
-		ids := make([][]int64, len(res))
-		for i, r := range res {
-			for _, n := range r.Neighbors {
+		ids := make([][]int64, queries.Len())
+		for i := range ids {
+			for _, n := range ix.Search(queries.Row(i), 10, nProbe) {
 				ids[i] = append(ids[i], n.ID)
 			}
 		}
@@ -204,10 +203,9 @@ func TestSQ8RecallCloseToFlat(t *testing.T) {
 	truth := ref.GroundTruth(queries, 10)
 
 	recallOf := func(ix *Index) float64 {
-		res := ix.SearchBatch(queries, 10, 20)
-		ids := make([][]int64, len(res))
-		for i, r := range res {
-			for _, n := range r.Neighbors {
+		ids := make([][]int64, queries.Len())
+		for i := range ids {
+			for _, n := range ix.Search(queries.Row(i), 10, 20) {
 				ids[i] = append(ids[i], n.ID)
 			}
 		}
@@ -216,24 +214,6 @@ func TestSQ8RecallCloseToFlat(t *testing.T) {
 	rFlat, rSQ := recallOf(flat), recallOf(sq)
 	if rFlat-rSQ > 0.05 {
 		t.Fatalf("SQ8 recall %v too far below Flat recall %v", rSQ, rFlat)
-	}
-}
-
-func TestSearchBatchMatchesSingle(t *testing.T) {
-	data := gaussianData(400, 8, 12)
-	ix := buildIndex(t, data, Config{Dim: 8, NList: 10, Seed: 6})
-	queries := gaussianData(10, 8, 13)
-	batch := ix.SearchBatch(queries, 5, 4)
-	for i := 0; i < queries.Len(); i++ {
-		single := ix.Search(queries.Row(i), 5, 4)
-		if len(single) != len(batch[i].Neighbors) {
-			t.Fatalf("query %d: lengths differ", i)
-		}
-		for j := range single {
-			if single[j].ID != batch[i].Neighbors[j].ID {
-				t.Fatalf("query %d pos %d differs", i, j)
-			}
-		}
 	}
 }
 
@@ -304,16 +284,21 @@ func BenchmarkIVFSearch(b *testing.B) {
 	}
 }
 
-// TestSearchPhasedMatchesSearch checks the traced search variant: identical
-// results and stats to SearchWithStats, with per-phase nanosecond attribution
-// that is nonnegative and nonzero in aggregate.
+// TestSearchPhasedMatchesSearch checks a single query timed through the
+// batch executor's *PhaseNanos argument: identical results and stats to
+// SearchWithStats, per-phase nanosecond attribution that is nonnegative and
+// nonzero in aggregate, and accumulation across batches timed into the same
+// PhaseNanos.
 func TestSearchPhasedMatchesSearch(t *testing.T) {
 	data := gaussianData(600, 24, 9)
 	ix := buildIndex(t, data, Config{Dim: 24, NList: 16})
 	q := data.Row(7)
 
 	plain, pStats := ix.SearchWithStats(q, 5, 4)
-	phased, fStats, ph := ix.SearchPhased(q, 5, 4)
+	s := ix.NewSearcher()
+	var ph PhaseNanos
+	s.SearchGroup([][]float32{q}, 5, 4, &ph)
+	phased, fStats := s.AppendResults(0, nil), s.QueryStats(0)
 	if len(phased) != len(plain) {
 		t.Fatalf("phased returned %d neighbors, plain %d", len(phased), len(plain))
 	}
@@ -332,17 +317,16 @@ func TestSearchPhasedMatchesSearch(t *testing.T) {
 		t.Errorf("phases must attribute some time: %+v", ph)
 	}
 
-	var agg PhaseNanos
-	agg.Add(ph)
-	agg.Add(PhaseNanos{Select: 1, Scan: 2, Merge: 3})
-	if agg.Select != ph.Select+1 || agg.Scan != ph.Scan+2 || agg.Merge != ph.Merge+3 {
-		t.Errorf("PhaseNanos.Add wrong: %+v", agg)
+	first := ph
+	s.SearchGroup([][]float32{q, q}, 5, 4, &ph)
+	if ph.Select < first.Select || ph.Scan < first.Scan || ph.Merge < first.Merge || ph == first {
+		t.Errorf("a second batch did not accumulate: %+v after %+v", ph, first)
 	}
 }
 
-// TestSearchPhasedClockGating proves the untraced path never reads the
-// clock: with the seam rigged to panic, Search still works while
-// SearchPhased trips it.
+// TestSearchPhasedClockGating proves the untimed paths never read the
+// clock: with the seam rigged to count, Search, SearchWithStats and a nil-ph
+// batch stay clock-free while a batch given a *PhaseNanos reads it.
 func TestSearchPhasedClockGating(t *testing.T) {
 	data := gaussianData(300, 16, 10)
 	ix := buildIndex(t, data, Config{Dim: 16, NList: 8})
@@ -358,10 +342,14 @@ func TestSearchPhasedClockGating(t *testing.T) {
 	if _, stats := ix.SearchWithStats(data.Row(0), 3, 2); stats.VectorsScanned == 0 {
 		t.Fatal("plain search scanned nothing")
 	}
+	s := ix.NewSearcher()
+	s.Search(nil, data.Row(1), 3, 2)
+	s.SearchGroup([][]float32{data.Row(0), data.Row(1)}, 3, 2, nil)
 	if calls != 0 {
 		t.Fatalf("untraced search read the clock %d times; the hot path must stay clock-free", calls)
 	}
-	if _, _, ph := ix.SearchPhased(data.Row(0), 3, 2); ph.Select+ph.Scan+ph.Merge <= 0 {
+	var ph PhaseNanos
+	if s.SearchGroup([][]float32{data.Row(0)}, 3, 2, &ph); ph.Select+ph.Scan+ph.Merge <= 0 {
 		t.Error("phased search with a ticking fake clock must attribute time")
 	}
 	if calls == 0 {

@@ -128,7 +128,7 @@ func TestScoreTiesAcrossCells(t *testing.T) {
 			pairs++
 			for _, q := range [][]float32{v1, v2} {
 				seq := ix.Search(q, 1, ix.NList())
-				grp, _ := ix.SearchGroup([][]float32{q, q}, 1, ix.NList())
+				grp, _, _ := searchGroup(ix, [][]float32{q, q}, 1, ix.NList(), nil)
 				if len(seq) != 1 || seq[0].ID != lo {
 					t.Fatalf("cells %d|%d: sequential top-1 = %v, want id %d", c1, c2, seq, lo)
 				}
@@ -162,7 +162,7 @@ func TestTieHeavySearchMatchesSortedReference(t *testing.T) {
 	kernel := quant.NewBatchDistancer(sq)
 	cs := sq.CodeSize()
 	for _, k := range []int{1, 5, 40} {
-		grouped, _ := ix.SearchGroup(qs, k, ix.NList())
+		grouped, _, _ := searchGroup(ix, qs, k, ix.NList(), nil)
 		ties := 0
 		for qi, q := range qs {
 			kernel.BindQuery(q)

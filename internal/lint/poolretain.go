@@ -23,10 +23,10 @@ import (
 // root was rebound in between (x = pool.Get() again starts a new bracket).
 // A pool source is a literal (*sync.Pool).Get call OR a call to a
 // same-package accessor that wraps one — a single-result function whose
-// body draws from a sync.Pool (the getSearcher/getGroupSearcher facade
+// body draws from a sync.Pool (the getSearcher/getScratch facade
 // pattern, which carries a poolescape suppression on its return). Without
-// accessor recognition every real bracket in this module would be
-// invisible: serving code never calls pool.Get directly.
+// accessor recognition most real brackets in this module would be
+// invisible: serving code mostly draws through such accessors.
 // `defer pool.Put(x)` is the recommended pattern and never flags — the Put
 // runs at return, after every use. Loops can execute a textually-earlier
 // use after a Put; like the rest of the engine this under-approximates
