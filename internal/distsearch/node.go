@@ -376,15 +376,21 @@ func (n *Node) search(req *Request, arrival, decodeDone time.Time) *Response {
 	if !single {
 		resp.Batch = make([][]vec.Neighbor, len(queries))
 	}
+	// An ungrouped query's scan is timed on its own; a nil histogram (no
+	// telemetry) reads no clock.
+	scanHist := n.met.scanSeconds
+	if grouped {
+		scanHist = nil
+	}
 	for b := 0; b < len(queries); b += step {
-		var stop func()
-		if !grouped {
-			stop = n.met.scanSeconds.Timer()
+		var t0 time.Time
+		if scanHist != nil {
+			t0 = now()
 		}
 		scan0 := ph.Scan
 		st := s.SearchGroup(queries[b:b+step], k, req.NProbe, timed)
-		if stop != nil {
-			stop()
+		if scanHist != nil {
+			scanHist.ObserveDuration(now().Sub(t0))
 		}
 		resp.Scanned += int64(st.VectorsScanned)
 		for i := 0; i < step; i++ {

@@ -38,10 +38,10 @@ func TestNodeHandleAllocs(t *testing.T) {
 		req     Request
 		budgets [2]float64 // untraced, traced
 	}{
-		{"sample", Request{Op: OpSample, Query: qs.Row(0), NProbe: 4}, [2]float64{4, 5}},
-		{"deep", Request{Op: OpDeep, Query: qs.Row(0), K: 5, NProbe: 16}, [2]float64{4, 5}},
-		{"deep_batch", Request{Op: OpDeepBatch, Queries: batch, K: 5, NProbe: 16}, [2]float64{11, 12}},
-		{"deep_batch_grouped", Request{Op: OpDeepBatch, Queries: batch, K: 5, NProbe: 16, Grouped: true}, [2]float64{8, 11}},
+		{"sample", Request{Op: OpSample, Query: qs.Row(0), NProbe: 4}, [2]float64{3, 4}},
+		{"deep", Request{Op: OpDeep, Query: qs.Row(0), K: 5, NProbe: 16}, [2]float64{3, 4}},
+		{"deep_batch", Request{Op: OpDeepBatch, Queries: batch, K: 5, NProbe: 16}, [2]float64{7, 8}},
+		{"deep_batch_grouped", Request{Op: OpDeepBatch, Queries: batch, K: 5, NProbe: 16, Grouped: true}, [2]float64{7, 10}},
 	}
 	for _, tc := range cases {
 		for i, traced := range []bool{false, true} {

@@ -17,7 +17,6 @@ package hermes
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -96,17 +95,15 @@ type Store struct {
 	// met holds resolved telemetry handles (see SetTelemetry); the zero
 	// value is a no-op.
 	met storeMetrics
-	// rec, when non-nil, receives one QueryRecord per Search (see
+	// rec, when non-nil, receives one QueryRecord per query searched (see
 	// SetRecorder in telemetry.go).
 	rec *telemetry.Recorder
 	// ev/slowScan arm the slow-scan detector (see SetEvents in
 	// telemetry.go); nil ev or zero slowScan disables it.
 	ev       *evlog.Log
 	slowScan time.Duration
-	// pool recycles searchScratch across queries (see scratch.go).
+	// pool recycles the executor's scratch across calls (see search.go).
 	pool sync.Pool
-	// groupPool recycles groupScratch across grouped batches (see grouped.go).
-	groupPool sync.Pool
 }
 
 // BuildOptions configures disaggregation and per-shard index construction.
@@ -333,12 +330,12 @@ type SearchStats struct {
 	DeepScanned   int
 }
 
-// Search runs the full Hermes hierarchical search for one query. Per-query
-// scratch (shard ranking, top-k selector, per-shard searchers) is recycled
-// through an internal pool, so steady-state queries allocate only the
-// returned result slice and the stats' DeepShards list.
+// Search runs the full Hermes hierarchical search for one query, as a batch
+// of one through the store's executor (search.go). Per-query scratch is
+// recycled through an internal pool, so steady-state queries allocate only
+// the returned result slice and the stats' DeepShards list.
 func (st *Store) Search(q []float32, p Params) ([]vec.Neighbor, SearchStats) {
-	return st.SearchTraced(q, p, nil)
+	return st.searchOne(q, p, bySample, nil)
 }
 
 // SearchTraced is Search with request-scoped tracing: one span per phase
@@ -346,158 +343,68 @@ func (st *Store) Search(q []float32, p Params) ([]vec.Neighbor, SearchStats) {
 // (SetRecorder) the completed query is appended to it — traced or not. A
 // nil trace keeps the hot path clock-free.
 func (st *Store) SearchTraced(q []float32, p Params, tr *telemetry.Trace) ([]vec.Neighbor, SearchStats) {
-	p = p.withDefaults()
-	st.met.searches.Inc()
-	stop := st.met.searchSeconds.Timer()
-	defer stop()
-	rec := st.rec
-	var start time.Time
-	if rec != nil {
-		start = now()
-	}
-	var stats SearchStats
-	sc := st.getScratch()
-	defer st.pool.Put(sc)
-
-	// Phase 1 — document sampling: retrieve 1 document from every shard
-	// with a low nProbe and score shards by that document's distance.
-	endSample := tr.StartSpan("sample")
-	order := sc.order[:0]
-	for s := range st.Shards {
-		res, sampleStats := st.searchShard(sc, s, q, 1, p.SampleNProbe)
-		stats.SampledShards++
-		stats.SampleScanned += sampleStats.VectorsScanned
-		if len(res) == 0 {
-			continue
-		}
-		order = append(order, rankedShard{res[0].Score, int32(s)})
-	}
-	sc.order = order
-	st.met.sampleScanned.Add(int64(stats.SampleScanned))
-	endSample()
-	endRank := tr.StartSpan("rank")
-	sortRanked(order)
-	endRank()
-
-	// Phase 2 — deep search into the top DeepClusters shards, optionally
-	// pruned by sampled-document distance.
-	deep := p.DeepClusters
-	if deep > len(order) {
-		deep = len(order)
-	}
-	endDeep := tr.StartSpan("deep")
-	tk := sc.topK(p.K)
-	for i, r := range order[:deep] {
-		if p.PruneEps > 0 && i > 0 && float64(r.d) > (1+p.PruneEps)*float64(order[0].d) {
-			break
-		}
-		res, deepStats := st.searchShard(sc, int(r.shard), q, p.K, p.DeepNProbe)
-		stats.DeepShards = append(stats.DeepShards, int(r.shard))
-		stats.DeepScanned += deepStats.VectorsScanned
-		for _, n := range res {
-			tk.Push(n.ID, n.Score)
-		}
-	}
-	endDeep()
-	st.met.deepScanned.Add(int64(stats.DeepScanned))
-	out := tk.Results()
-	if rec != nil {
-		qr := telemetry.QueryRecord{
-			TraceID:   tr.ID(),
-			Start:     start,
-			Total:     now().Sub(start),
-			DeepNodes: append([]int(nil), stats.DeepShards...),
-			Scanned:   int64(stats.SampleScanned + stats.DeepScanned),
-		}
-		qr.Busy = qr.Total
-		if qr.TraceID == 0 {
-			qr.TraceID = telemetry.NewTraceID()
-		}
-		if tr != nil {
-			qr.Spans = tr.Spans()
-			_, qr.Busy = telemetry.SpanTotals(qr.Spans)
-		}
-		rec.Record(qr)
-	}
-	return out, stats
+	return st.searchOne(q, p, bySample, tr)
 }
 
 // SearchCentroid is the centroid-routing ablation: shards are ranked by the
 // distance of their k-means centroid to the query instead of by a sampled
-// document (the weaker strategy in Figure 11).
+// document (the weaker strategy in Figure 11). It runs no sample phase, and
+// PruneEps, which compares sampled distances, does not apply.
 func (st *Store) SearchCentroid(q []float32, p Params) ([]vec.Neighbor, SearchStats) {
-	p = p.withDefaults()
-	var stats SearchStats
-	sc := st.getScratch()
-	defer st.pool.Put(sc)
-	order := sc.order[:0]
-	for s, sh := range st.Shards {
-		order = append(order, rankedShard{vec.L2Squared(q, sh.Centroid), int32(s)})
-	}
-	sc.order = order
-	sortRanked(order)
-	deep := p.DeepClusters
-	if deep > len(order) {
-		deep = len(order)
-	}
-	tk := sc.topK(p.K)
-	for _, r := range order[:deep] {
-		res, deepStats := st.searchShard(sc, int(r.shard), q, p.K, p.DeepNProbe)
-		stats.DeepShards = append(stats.DeepShards, int(r.shard))
-		stats.DeepScanned += deepStats.VectorsScanned
-		for _, n := range res {
-			tk.Push(n.ID, n.Score)
-		}
-	}
-	return tk.Results(), stats
+	return st.searchOne(q, p, byCentroid, nil)
 }
 
 // SearchAll is the naive distributed baseline: every shard receives the deep
 // search and the results are aggregated. Accuracy is maximal but so are
 // energy and occupancy.
 func (st *Store) SearchAll(q []float32, p Params) ([]vec.Neighbor, SearchStats) {
-	p = p.withDefaults()
-	var stats SearchStats
-	sc := st.getScratch()
-	defer st.pool.Put(sc)
-	tk := sc.topK(p.K)
-	for s := range st.Shards {
-		res, deepStats := st.searchShard(sc, s, q, p.K, p.DeepNProbe)
-		stats.DeepShards = append(stats.DeepShards, s)
-		stats.DeepScanned += deepStats.VectorsScanned
-		for _, n := range res {
-			tk.Push(n.ID, n.Score)
-		}
-	}
-	return tk.Results(), stats
+	p.DeepClusters = len(st.Shards)
+	return st.searchOne(q, p, byIndex, nil)
 }
 
 // SearchFirstN is the naive-split baseline of Figure 11: deep-search the
-// first n shards in fixed order (no routing intelligence) and aggregate.
-// On a round-robin split every shard holds the same slice of every topic,
-// so accuracy climbs roughly linearly with n and reaches iso-accuracy only
-// when nearly all shards are searched — the curve Hermes is compared to.
+// first n shards in fixed order (no routing intelligence) and aggregate; n <=
+// 0 means DeepClusters. On a round-robin split every shard holds the same
+// slice of every topic, so accuracy climbs roughly linearly with n and
+// reaches iso-accuracy only when nearly all shards are searched — the curve
+// Hermes is compared to.
 func (st *Store) SearchFirstN(q []float32, p Params, n int) ([]vec.Neighbor, SearchStats) {
-	p = p.withDefaults()
-	if n <= 0 {
-		n = p.DeepClusters
+	if n > 0 {
+		p.DeepClusters = n
 	}
-	if n > len(st.Shards) {
-		n = len(st.Shards)
-	}
-	var stats SearchStats
-	sc := st.getScratch()
-	defer st.pool.Put(sc)
-	tk := sc.topK(p.K)
-	for s := 0; s < n; s++ {
-		res, deepStats := st.searchShard(sc, s, q, p.K, p.DeepNProbe)
-		stats.DeepShards = append(stats.DeepShards, s)
-		stats.DeepScanned += deepStats.VectorsScanned
-		for _, nb := range res {
-			tk.Push(nb.ID, nb.Score)
-		}
-	}
-	return tk.Results(), stats
+	return st.searchOne(q, p, byIndex, nil)
+}
+
+// searchOne runs q through the executor as a batch of one.
+func (st *Store) searchOne(q []float32, p Params, by ranking, tr *telemetry.Trace) ([]vec.Neighbor, SearchStats) {
+	qs, out := [1][]float32{q}, [1]BatchResult{}
+	st.search(qs[:], p, by, tr, out[:])
+	return out[0].Neighbors, out[0].Stats
+}
+
+// SearchGrouped runs the hierarchical search for the whole batch with shared
+// multi-query cell scans: every shard's sample and deep scans run once for
+// all the queries that probe it. Each query gets the neighbors and stats
+// Search would give it. The query slices must stay unmodified for the
+// duration of the call.
+//
+// Every BatchResult carries the query's cost-ledger entry (cells probed,
+// codes split exclusive/amortized); the counters ride the pooled scratch, so
+// the untraced path stays allocation- and clock-free.
+func (st *Store) SearchGrouped(qs [][]float32, p Params) ([]BatchResult, BatchGroupStats) {
+	return st.SearchGroupedTraced(qs, p, nil)
+}
+
+// SearchGroupedTraced is SearchGrouped with batch-level tracing: the shared
+// phases land on tr as one span each (sample, rank, deep — they are executed
+// once for the whole batch, so they are traced once for the whole batch), the
+// shard scans run phased so each query's Cost.ScanNanos carries its share of
+// the measured scan time (distributed in proportion to attributed codes; the
+// shares sum exactly to the measured total). Results are DeepEqual-identical
+// to the untraced path — tracing only adds timestamps around the same code.
+func (st *Store) SearchGroupedTraced(qs [][]float32, p Params, tr *telemetry.Trace) ([]BatchResult, BatchGroupStats) {
+	out := make([]BatchResult, len(qs))
+	return out, st.search(qs, p, bySample, tr, out)
 }
 
 // BuildMonolithic constructs the single-index baseline over the whole
@@ -522,47 +429,10 @@ func BuildMonolithic(data *vec.Matrix, quantBits, nlist int, seed int64) (*ivf.I
 }
 
 // BatchResult couples one query's hierarchical-search output with its stats
-// and — on the grouped path — its cost-ledger entry (ISSUE 9): the work
-// attributed to this query, with shared cell streams amortized exactly
-// across their co-probers.
+// and its cost-ledger entry: the work attributed to this query, with shared
+// cell streams amortized exactly across their co-probers.
 type BatchResult struct {
 	Neighbors []vec.Neighbor
 	Stats     SearchStats
 	Cost      telemetry.QueryCost
-}
-
-// SearchBatch runs the hierarchical search for every query with a pool of
-// GOMAXPROCS workers pulling from a shared queue — the in-process analog of
-// the batch serving path (shards are searched concurrently-safe; only
-// mutation must not race with searches).
-func (st *Store) SearchBatch(queries *vec.Matrix, p Params) []BatchResult {
-	n := queries.Len()
-	out := make([]BatchResult, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			out[i].Neighbors, out[i].Stats = st.Search(queries.Row(i), p)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i].Neighbors, out[i].Stats = st.Search(queries.Row(i), p)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
 }

@@ -411,27 +411,3 @@ func TestStoreMemoryAccounting(t *testing.T) {
 		t.Fatalf("MemoryBytes %d != sum %d", st.MemoryBytes(), manual)
 	}
 }
-
-func TestSearchBatchMatchesSingle(t *testing.T) {
-	c := testCorpus(t, 1000, 5)
-	st := buildStore(t, c.Vectors, 5)
-	qs := c.Queries(16, 97)
-	batch := st.SearchBatch(qs.Vectors, DefaultParams())
-	if len(batch) != 16 {
-		t.Fatalf("batch len %d", len(batch))
-	}
-	for i := 0; i < qs.Vectors.Len(); i++ {
-		single, stats := st.Search(qs.Vectors.Row(i), DefaultParams())
-		if len(single) != len(batch[i].Neighbors) {
-			t.Fatalf("query %d lengths differ", i)
-		}
-		for j := range single {
-			if single[j].ID != batch[i].Neighbors[j].ID {
-				t.Fatalf("query %d pos %d differs", i, j)
-			}
-		}
-		if stats.SampledShards != batch[i].Stats.SampledShards {
-			t.Fatalf("query %d stats differ", i)
-		}
-	}
-}

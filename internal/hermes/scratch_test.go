@@ -43,12 +43,13 @@ func TestSearchScratchReuseIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSearchScratchSteadyStateAllocs bounds per-query heap allocations on the
-// full hierarchical path: with warmed pool scratch only the caller-visible
-// outputs (result slice, DeepShards) may allocate. A second case arms the
-// slow-scan detector with a threshold no scan crosses: it reads the clock
-// around every shard scan, but arming events must not add a single
-// allocation to the scan path.
+// TestSearchScratchSteadyStateAllocs bounds per-call heap allocations of
+// every entry point: with warmed pool scratch only the caller-visible
+// outputs (result slices, DeepShards, a batch's result slice) may allocate.
+// Each bound is the count measured before the entry points shared one
+// executor. The Search row runs twice more with the slow-scan detector armed
+// at a threshold no scan crosses: it reads the clock around every shard
+// scan, but arming events must not add a single allocation to the scan path.
 func TestSearchScratchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool puts, inflating alloc counts")
@@ -56,25 +57,34 @@ func TestSearchScratchSteadyStateAllocs(t *testing.T) {
 	c := testCorpus(t, 900, 4)
 	st := buildStore(t, c.Vectors, 4)
 	q := c.Queries(1, 13).Vectors.Row(0)
+	batch := rowsOf(c.Queries(8, 17).Vectors)
 	p := DefaultParams()
-	measure := func() float64 {
+	measure := func(search func()) float64 {
 		for i := 0; i < 4; i++ { // warm the pool scratch
-			st.Search(q, p)
+			search()
 		}
-		return testing.AllocsPerRun(50, func() {
-			st.Search(q, p)
-		})
+		return testing.AllocsPerRun(50, search)
 	}
-	allocs := measure()
-	// Expected survivors: the results slice and the DeepShards slice (each
-	// possibly with one growth step). Anything above that means scratch
-	// leaked back into the hot path.
-	if allocs > 4 {
-		t.Fatalf("%v allocations per hierarchical search, want <= 4", allocs)
+	search := func() { st.Search(q, p) }
+	for _, row := range []struct {
+		name   string
+		search func()
+		bound  float64
+	}{
+		{"Search", search, 4},
+		{"SearchAll", func() { st.SearchAll(q, p) }, 4},
+		{"SearchCentroid", func() { st.SearchCentroid(q, p) }, 4},
+		{"SearchFirstN", func() { st.SearchFirstN(q, p, 2) }, 3},
+		{"SearchGrouped/batch=8", func() { st.SearchGrouped(batch, p) }, 33},
+	} {
+		if allocs := measure(row.search); allocs > row.bound {
+			t.Errorf("%s: %v allocations per call, want <= %v", row.name, allocs, row.bound)
+		}
 	}
+	allocs := measure(search)
 	st.SetEvents(evlog.New(evlog.Config{Capacity: 64}), time.Hour)
 	defer st.SetEvents(nil, 0)
-	if armed := measure(); armed != allocs {
+	if armed := measure(search); armed != allocs {
 		t.Fatalf("armed-quiet slow-scan detector: %v allocations per search, want %v as unarmed", armed, allocs)
 	}
 }

@@ -1,9 +1,12 @@
 package hermes
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/evlog"
 	"repro/internal/telemetry"
 )
 
@@ -46,9 +49,64 @@ func TestStoreTelemetry(t *testing.T) {
 		t.Errorf("scan observations = %v, want >= 20", scans)
 	}
 
-	// SearchBatch routes through Search, so the counters follow the batch.
-	_ = st.SearchBatch(qs.Vectors, DefaultParams())
-	if got := reg.Snapshot()["hermes_store_searches_total"]; got != 10 {
-		t.Errorf("searches after batch = %v, want 10", got)
+	// A grouped batch of 5: every query counts as a search, observes the
+	// batch's wall time and rides the grouped counters; the per-shard scan
+	// histogram sees one shared scan per shard and phase, and the slow-scan
+	// detector judges those same scans. A fake clock stepping 1ms per read
+	// makes every timed scan slow.
+	ev := evlog.New(evlog.Config{Capacity: 64})
+	st.SetEvents(ev, 500*time.Microsecond)
+	rec := telemetry.NewRecorder(32, 0)
+	st.SetRecorder(rec)
+	defer func(orig func() time.Time) { now = orig }(now)
+	var tick time.Duration
+	now = func() time.Time { tick += time.Millisecond; return time.Unix(0, 0).Add(tick) }
+	rows := make([][]float32, 5)
+	for i := range rows {
+		rows[i] = qs.Vectors.Row(i)
+	}
+	out, gs := st.SearchGrouped(rows, DefaultParams())
+	deepShards := map[int]bool{}
+	for _, r := range out {
+		for _, s := range r.Stats.DeepShards {
+			deepShards[s] = true
+		}
+	}
+	shardScans := float64(st.NumShards() + len(deepShards))
+	snap = reg.Snapshot()
+	for name, want := range map[string]float64{
+		"hermes_store_searches_total":                      10,
+		"hermes_store_search_seconds:count":                10,
+		"hermes_store_grouped_queries_total":               5,
+		"hermes_store_group_shared_scans_total":            float64(gs.SharedCellScans()),
+		`hermes_store_scan_seconds{quantizer="SQ8"}:count`: scans + shardScans,
+	} {
+		if got := snap[name]; got != want {
+			t.Errorf("after a batch of 5: %s = %v, want %v", name, got, want)
+		}
+	}
+	if gs.SharedCellScans() <= 0 {
+		t.Errorf("batch of 5 shared no cell scans: %+v", gs)
+	}
+	if got := float64(len(ev.Events())); got != shardScans {
+		t.Errorf("slow-scan events = %v, want one per shard scan (%v)", got, shardScans)
+	}
+	records := rec.Recent(10)
+	if len(records) != 5 {
+		t.Fatalf("recorder holds %d records, want one per query", len(records))
+	}
+	want := map[string]int{} // the queries' deep shards and scan counts
+	for _, r := range out {
+		want[fmt.Sprint(r.Stats.DeepShards, r.Stats.SampleScanned+r.Stats.DeepScanned)]++
+	}
+	for _, qr := range records {
+		key := fmt.Sprint(qr.DeepNodes, qr.Scanned)
+		if want[key] == 0 {
+			t.Errorf("record %+v matches no query of the batch", qr)
+		}
+		want[key]--
+		if qr.Total != records[0].Total || qr.Busy != qr.Total || len(qr.Spans) != 0 {
+			t.Errorf("batch record %+v: want the batch's wall time, busy == total, no spans", qr)
+		}
 	}
 }

@@ -76,7 +76,8 @@ func TestQuantileEmptyAndSingle(t *testing.T) {
 }
 
 // TestTimerUsesClockSeam freezes the package clock and steps it between the
-// timer's start and stop reads, proving no real wall-clock dependency.
+// start and stop reads of a region timed with ObserveDuration, proving no
+// real wall-clock dependency.
 func TestTimerUsesClockSeam(t *testing.T) {
 	orig := now
 	defer func() { now = orig }()
@@ -87,8 +88,8 @@ func TestTimerUsesClockSeam(t *testing.T) {
 		return base.Add(time.Duration(calls-1) * 250 * time.Millisecond)
 	}
 	h := newHistogram(DefLatencyBuckets)
-	stop := h.Timer()
-	stop()
+	start := now()
+	h.ObserveDuration(now().Sub(start))
 	if h.Count() != 1 {
 		t.Fatalf("timer recorded %d observations, want 1", h.Count())
 	}
@@ -111,10 +112,10 @@ func TestHistogramExemplars(t *testing.T) {
 	bounds := []float64{0.01, 0.1, 1}
 	h := reg.Histogram("exemplar_seconds", "latency with exemplars", bounds)
 
-	h.Observe(0.005)                      // first bucket, no exemplar
-	h.ObserveExemplar(0.05, 0)            // trace 0: plain observation
-	h.ObserveExemplar(0.5, 0xbeef)        // third bucket
-	h.ObserveExemplar(5, 0xfeed)          // +Inf overflow bucket
+	h.Observe(0.005)               // first bucket, no exemplar
+	h.ObserveExemplar(0.05, 0)     // trace 0: plain observation
+	h.ObserveExemplar(0.5, 0xbeef) // third bucket
+	h.ObserveExemplar(5, 0xfeed)   // +Inf overflow bucket
 
 	ex := h.Exemplars()
 	if len(ex) != 2 {

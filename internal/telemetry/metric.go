@@ -107,16 +107,6 @@ func (g *Gauge) snapshot(base string, out map[string]float64) {
 	out[base] = g.Value()
 }
 
-// Timer times a region against a histogram: stop := h.Timer(); defer stop().
-// The clock read goes through the package `now` seam.
-func (h *Histogram) Timer() func() {
-	if h == nil {
-		return func() {}
-	}
-	start := now()
-	return func() { h.Observe(now().Sub(start).Seconds()) }
-}
-
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(d.Seconds())

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestExpositionGolden pins the exact Prometheus text rendering: family
@@ -94,7 +95,7 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	reg.Gauge("g", "g").Set(1)
 	h := reg.Histogram("h", "h", DefLatencyBuckets)
 	h.Observe(1)
-	h.Timer()()
+	h.ObserveDuration(time.Second)
 	if h.Quantile(0.5) != 0 || h.Count() != 0 {
 		t.Error("nil histogram must read as zero")
 	}
