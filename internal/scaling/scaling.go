@@ -135,8 +135,13 @@ func Calibrate(cfg SweepConfig, gen func(n, dim int, seed int64) *vec.Matrix) (*
 	if cfg.NList <= 0 {
 		cfg.NList = 64
 	}
-	m := &Model{}
-	for _, n := range cfg.Sizes {
+	// Build every index first, then time the sizes round-robin: each
+	// repeat visits every size once, so a slow spell of the host (a
+	// neighbour's burst, a core shared with a busy sibling) lands on one
+	// repeat of several sizes instead of on every repeat of one size, and
+	// the fastest-repeat rule discards it.
+	indexes := make([]*ivf.Index, len(cfg.Sizes))
+	for si, n := range cfg.Sizes {
 		data := gen(n, cfg.Dim, cfg.Seed)
 		ix, err := ivf.New(ivf.Config{Dim: cfg.Dim, NList: cfg.NList, Quantizer: quant.NewSQ(cfg.Dim, 8), Seed: cfg.Seed})
 		if err != nil {
@@ -148,25 +153,31 @@ func Calibrate(cfg SweepConfig, gen func(n, dim int, seed int64) *vec.Matrix) (*
 		if err := ix.AddBatch(0, data); err != nil {
 			return nil, err
 		}
-		queries := gen(cfg.Queries, cfg.Dim, cfg.Seed+1)
-		var scanned int
-		var best time.Duration
-		for rep := 0; rep < cfg.Repeats; rep++ {
-			scanned = 0
+		indexes[si] = ix
+	}
+	queries := gen(cfg.Queries, cfg.Dim, cfg.Seed+1)
+	scanned := make([]int, len(indexes))
+	best := make([]time.Duration, len(indexes))
+	for rep := 0; rep < cfg.Repeats; rep++ {
+		for si, ix := range indexes {
+			scanned[si] = 0
 			start := now()
 			for i := 0; i < queries.Len(); i++ {
 				_, st := ix.SearchWithStats(queries.Row(i), 10, cfg.NProbe)
-				scanned += st.VectorsScanned
+				scanned[si] += st.VectorsScanned
 			}
-			if elapsed := now().Sub(start); rep == 0 || elapsed < best {
-				best = elapsed
+			if elapsed := now().Sub(start); rep == 0 || elapsed < best[si] {
+				best[si] = elapsed
 			}
 		}
+	}
+	m := &Model{}
+	for si, n := range cfg.Sizes {
 		m.Points = append(m.Points, Point{
 			Tokens:          int64(n) * int64(cfg.TokensPerChunk),
-			LatencyPerQuery: best / time.Duration(queries.Len()),
-			MemoryBytes:     ix.MemoryBytes(),
-			VectorsScanned:  float64(scanned) / float64(queries.Len()),
+			LatencyPerQuery: best[si] / time.Duration(queries.Len()),
+			MemoryBytes:     indexes[si].MemoryBytes(),
+			VectorsScanned:  float64(scanned[si]) / float64(queries.Len()),
 			Measured:        true,
 		})
 	}
