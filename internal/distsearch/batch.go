@@ -3,7 +3,6 @@ package distsearch
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/hermes"
@@ -83,38 +82,6 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 
 	costs := make([]telemetry.QueryCost, len(queries))
 	var total telemetry.QueryCost
-	var costMu sync.Mutex
-
-	// foldNodeResponse merges one node response's attribution into the
-	// per-query ledger and the batch totals: node-reported per-query entries
-	// (index-aligned with idx), an even split of the round-trip's wire bytes
-	// across the queries the request carried, and the independently sourced
-	// totals (distinct codes scanned, list_scan span time, wire bytes).
-	foldNodeResponse := func(resp *Response, wire int64, idx []int) {
-		costMu.Lock()
-		defer costMu.Unlock()
-		for slot, c := range resp.Costs {
-			if slot >= len(idx) {
-				break
-			}
-			costs[idx[slot]].Add(c)
-		}
-		for slot, share := range telemetry.AttributeTotal(wire, make([]int64, len(idx))) {
-			costs[idx[slot]].WireBytes += share
-		}
-		total.WireBytes += wire
-		for _, c := range resp.Costs {
-			total.Cells += c.Cells
-			total.SharedCells += c.SharedCells
-			total.CodesExclusive += c.CodesExclusive
-			total.CodesAmortized += c.CodesAmortized
-		}
-		for _, ws := range resp.Spans {
-			if ws.Name == "list_scan" {
-				total.ScanNanos += ws.DurNanos
-			}
-		}
-	}
 
 	// allIdx is the identity index map for the sample phase, where every
 	// request carries the full batch.
@@ -123,45 +90,46 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 		allIdx[i] = i
 	}
 
+	// fold merges one exchange's attribution into the per-query ledger and
+	// the batch totals: node-reported per-query entries (index-aligned with
+	// idx), an even split of the exchange's wire bytes across the queries
+	// the request carried, and the independently sourced totals (distinct
+	// codes scanned, list_scan span time, wire bytes).
+	fold := func(cl *call, resp *Response, idx []int) {
+		stitchSpans(tr, cl.start, resp.Spans)
+		for slot, c := range resp.Costs {
+			costs[idx[slot]].Add(c)
+			total.Cells += c.Cells
+			total.SharedCells += c.SharedCells
+			total.CodesExclusive += c.CodesExclusive
+			total.CodesAmortized += c.CodesAmortized
+		}
+		wire := cl.sent + cl.recv
+		for slot, share := range telemetry.AttributeTotal(wire, make([]int64, len(idx))) {
+			costs[idx[slot]].WireBytes += share
+		}
+		total.WireBytes += wire
+		for _, ws := range resp.Spans {
+			if ws.Name == "list_scan" {
+				total.ScanNanos += ws.DurNanos
+			}
+		}
+	}
+
 	// Phase 1 — one sample-batch request per node.
 	endScatter := tr.StartSpan("sample_scatter")
-	sampleScores := make([][]float32, len(co.nodes)) // [node][query]
-	sampleOK := make([][]bool, len(co.nodes))
-	errs := make([]error, len(co.nodes))
-	var wg sync.WaitGroup
-	for ni, n := range co.nodes {
-		wg.Add(1)
-		go func(ni int, n *nodeClient) {
-			defer wg.Done()
-			sendAt := time.Now()
-			resp, wire, err := n.roundTripBytes(&Request{
-				Op: OpSampleBatch, Queries: queries, NProbe: p.SampleNProbe,
-				Grouped: co.grouped, TraceID: tr.ID(),
-			})
-			if err != nil {
-				errs[ni] = err
-				return
-			}
-			stitchSpans(tr, sendAt, resp.Spans)
-			foldNodeResponse(resp, wire, allIdx)
-			scores := make([]float32, len(queries))
-			oks := make([]bool, len(queries))
-			for qi, res := range resp.Batch {
-				if len(res) > 0 {
-					scores[qi] = res[0].Score
-					oks[qi] = true
-				}
-			}
-			sampleScores[ni] = scores
-			sampleOK[ni] = oks
-		}(ni, n)
-	}
-	wg.Wait()
+	calls := scatter(co.nodes, &Request{
+		Op: OpSampleBatch, Queries: queries, NProbe: p.SampleNProbe,
+		Grouped: co.grouped, TraceID: tr.ID(),
+	})
+	sampled := make([][][]vec.Neighbor, len(co.nodes)) // [node][query]
+	err := gather(co.nodes, calls, func(ni int, cl *call, resp *Response) {
+		fold(cl, resp, allIdx)
+		sampled[ni] = resp.Batch
+	})
 	endScatter()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	sampleLat := time.Since(start)
 	co.m.phaseSample.ObserveDuration(sampleLat)
@@ -178,8 +146,8 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 	for qi := range queries {
 		order := make([]ranked, 0, len(co.nodes))
 		for ni := range co.nodes {
-			if sampleOK[ni][qi] {
-				order = append(order, ranked{ni, sampleScores[ni][qi]})
+			if res := sampled[ni][qi]; len(res) > 0 {
+				order = append(order, ranked{ni, res[0].Score})
 			}
 		}
 		// Score, then node index: a strict order, so equal sample scores
@@ -208,45 +176,30 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 	// Phase 2 — one deep-batch request per loaded node.
 	endGather := tr.StartSpan("deep_gather")
 	deepStart := time.Now()
+	for ni, n := range co.nodes {
+		calls[ni] = nil
+		if len(deepQueries[ni]) > 0 {
+			calls[ni] = n.send(&Request{
+				Op: OpDeepBatch, Queries: deepQueries[ni], K: p.K, NProbe: p.DeepNProbe,
+				Grouped: co.grouped, TraceID: tr.ID(),
+			})
+		}
+	}
 	merged := make([]*vec.TopK, len(queries))
 	for qi := range merged {
 		merged[qi] = vec.NewTopK(p.K)
 	}
-	var mu sync.Mutex
-	for ni, n := range co.nodes {
-		if len(deepQueries[ni]) == 0 {
-			continue
+	err = gather(co.nodes, calls, func(ni int, cl *call, resp *Response) {
+		fold(cl, resp, deepQueryIdx[ni])
+		for slot, res := range resp.Batch {
+			for _, nb := range res {
+				merged[deepQueryIdx[ni][slot]].Push(nb.ID, nb.Score)
+			}
 		}
-		wg.Add(1)
-		go func(ni int, n *nodeClient) {
-			defer wg.Done()
-			sendAt := time.Now()
-			resp, wire, err := n.roundTripBytes(&Request{
-				Op: OpDeepBatch, Queries: deepQueries[ni], K: p.K, NProbe: p.DeepNProbe,
-				Grouped: co.grouped, TraceID: tr.ID(),
-			})
-			if err != nil {
-				errs[ni] = err
-				return
-			}
-			stitchSpans(tr, sendAt, resp.Spans)
-			foldNodeResponse(resp, wire, deepQueryIdx[ni])
-			mu.Lock()
-			defer mu.Unlock()
-			for slot, res := range resp.Batch {
-				qi := deepQueryIdx[ni][slot]
-				for _, nb := range res {
-					merged[qi].Push(nb.ID, nb.Score)
-				}
-			}
-		}(ni, n)
-	}
-	wg.Wait()
+	})
 	endGather()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	deepLat := time.Since(deepStart)
 	co.m.phaseDeep.ObserveDuration(deepLat)

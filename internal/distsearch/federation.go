@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/slo"
 	"repro/internal/telemetry"
@@ -33,43 +32,23 @@ type NodeFamilies struct {
 	Families []telemetry.FamilySnapshot
 }
 
-// ClusterMetrics pulls every node's metric export over OpMetricsSnap (in
-// parallel), merges them with the coordinator's own registry, and returns
-// the federated view. Federation is observability, not serving: a node that
-// is currently unreachable lands in Missing instead of failing the snapshot,
+// ClusterMetrics pulls every node's metric export over OpMetricsSnap in one
+// wave, merges them with the coordinator's own registry, and returns the
+// federated view. Federation is observability, not serving: a node that is
+// currently unreachable lands in Missing instead of failing the snapshot,
 // which degrades to a narrower view with no error.
 func (co *Coordinator) ClusterMetrics() *ClusterView {
-	type pull struct {
-		shardID  int
-		families []telemetry.FamilySnapshot
-		ok       bool
-	}
-	pulls := make([]pull, len(co.nodes))
-	var wg sync.WaitGroup
-	for i, n := range co.nodes {
-		wg.Add(1)
-		go func(i int, n *nodeClient) {
-			defer wg.Done()
-			pulls[i].shardID = n.shardID
-			resp, err := n.roundTrip(&Request{Op: OpMetricsSnap})
-			if err != nil {
-				return
-			}
-			pulls[i].families = resp.Families
-			pulls[i].ok = true
-		}(i, n)
-	}
-	wg.Wait()
-
+	calls := scatter(co.nodes, &Request{Op: OpMetricsSnap})
 	view := &ClusterView{}
-	exports := make([][]telemetry.FamilySnapshot, 0, len(pulls)+1)
-	for _, p := range pulls {
-		if !p.ok {
-			view.Missing = append(view.Missing, p.shardID)
+	exports := make([][]telemetry.FamilySnapshot, 0, len(co.nodes)+1)
+	for i, n := range co.nodes {
+		resp, err := n.recv(calls[i])
+		if err != nil {
+			view.Missing = append(view.Missing, n.shardID)
 			continue
 		}
-		view.Nodes = append(view.Nodes, NodeFamilies{ShardID: p.shardID, Families: p.families})
-		exports = append(exports, p.families)
+		view.Nodes = append(view.Nodes, NodeFamilies{ShardID: n.shardID, Families: resp.Families})
+		exports = append(exports, resp.Families)
 	}
 	// The coordinator's own registry joins the merge so the cluster view
 	// spans both sides of the wire (scatter/gather phases and per-node

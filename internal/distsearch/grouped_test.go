@@ -150,6 +150,7 @@ func TestGroupedOldNodeDegrades(t *testing.T) {
 				k = 1
 			}
 			resp.Batch = make([][]vec.Neighbor, len(req.Queries))
+			resp.Costs = make([]telemetry.QueryCost, len(req.Queries))
 			for i, q := range req.Queries {
 				resp.Batch[i] = ix.Search(q, k, req.NProbe)
 			}

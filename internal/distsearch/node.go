@@ -124,9 +124,9 @@ func (n *Node) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		n.ev.Info("conn.close", evlog.Int("shard", int64(n.shardID)), evlog.Str("remote", conn.RemoteAddr().String()))
 	}()
-	// One exchange is in flight per connection, so the reader never holds
-	// the next request's bytes early and both buffers are reused, each at
-	// the largest frame seen.
+	// Requests are answered in order. The coordinator pipelines them, so
+	// the reader may already hold the next request's bytes; both buffers
+	// are still reused, each at the largest frame seen.
 	br := bufio.NewReader(conn)
 	var in, out []byte
 	for {

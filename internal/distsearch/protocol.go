@@ -5,7 +5,7 @@
 // top-ranked subset.
 //
 // The wire protocol is one versioned binary frame per request and per
-// response over TCP (wire.go), one exchange in flight per connection.
+// response over TCP (wire.go), answered in request order per connection.
 // Whereas internal/multinode models a large cluster analytically, this
 // package actually runs the protocol — the tests and examples/distributed
 // spin up real nodes on localhost.

@@ -151,7 +151,7 @@ func newClientMetrics(reg *telemetry.Registry, shardID int) clientMetrics {
 	node := strconv.Itoa(shardID)
 	return clientMetrics{
 		roundTrip: reg.Histogram("hermes_distsearch_roundtrip_seconds",
-			"full round-trip time per node", telemetry.DefLatencyBuckets, "node", node),
+			"time from send until the coordinator reads the response, per node (a wave reads its responses in order)", telemetry.DefLatencyBuckets, "node", node),
 		compute: reg.Histogram("hermes_distsearch_node_compute_seconds",
 			"node-reported handling time per node (round-trip minus wire)", telemetry.DefLatencyBuckets, "node", node),
 		sent: reg.Counter("hermes_distsearch_bytes_sent_total",
