@@ -69,9 +69,7 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 			return nil, fmt.Errorf("distsearch: batch query %d dim %d != %d", i, len(q), co.dim)
 		}
 	}
-	if p.K <= 0 {
-		p = hermes.DefaultParams()
-	}
+	p = p.WithDefaults()
 	co.m.queries.Add(int64(len(queries)))
 	co.m.batchSize.Observe(float64(len(queries)))
 	batchID := tr.ID()

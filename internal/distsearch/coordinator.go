@@ -655,9 +655,7 @@ func (co *Coordinator) searchTraced(q []float32, p hermes.Params, tr *telemetry.
 	if len(q) != co.dim {
 		return nil, 0, fmt.Errorf("distsearch: query dim %d != %d", len(q), co.dim)
 	}
-	if p.K <= 0 {
-		p = hermes.DefaultParams()
-	}
+	p = p.WithDefaults()
 	co.m.queries.Inc()
 
 	// Phase 1 — scatter sampling.
@@ -713,10 +711,14 @@ func (co *Coordinator) searchTraced(q []float32, p hermes.Params, tr *telemetry.
 	})
 	endRank()
 
-	// Phase 2 — deep search the top clusters.
-	deep := p.DeepClusters
-	if deep > len(ranked) {
-		deep = len(ranked)
+	// Phase 2 — deep search the top clusters, cut as Store.Search cuts them
+	// once a shard's sample exceeds (1+PruneEps) of the best one.
+	deep := min(p.DeepClusters, len(ranked))
+	for i := 1; i < deep; i++ {
+		if p.PruneEps > 0 && float64(ranked[i].score) > (1+p.PruneEps)*float64(ranked[0].score) {
+			deep = i
+			break
+		}
 	}
 	endDeep := tr.StartSpan("deep_gather")
 	deepStart := time.Now()
@@ -790,9 +792,7 @@ func (co *Coordinator) SearchAll(q []float32, p hermes.Params) (*Result, error) 
 	if len(q) != co.dim {
 		return nil, fmt.Errorf("distsearch: query dim %d != %d", len(q), co.dim)
 	}
-	if p.K <= 0 {
-		p = hermes.DefaultParams()
-	}
+	p = p.WithDefaults()
 	start := time.Now()
 	calls := scatter(co.nodes, &Request{Op: OpDeep, Query: q, K: p.K, NProbe: p.DeepNProbe})
 	tk := vec.NewTopK(p.K)

@@ -17,7 +17,9 @@ package hermes
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/evlog"
@@ -54,7 +56,10 @@ func DefaultParams() Params {
 	return Params{K: 5, SampleNProbe: 8, DeepNProbe: 128, DeepClusters: 3}
 }
 
-func (p Params) withDefaults() Params {
+// WithDefaults returns p with every zero or negative field but PruneEps
+// replaced by DefaultParams' value: the parameters every search entry point,
+// in-process or distributed, actually runs with.
+func (p Params) WithDefaults() Params {
 	d := DefaultParams()
 	if p.K <= 0 {
 		p.K = d.K
@@ -222,6 +227,10 @@ func buildFromAssignment(data *vec.Matrix, assign []int, centroids *vec.Matrix, 
 	return buildFromAssignmentQuant(data, assign, centroids, seed, 8, 0)
 }
 
+// buildFromAssignmentQuant builds one IVF index per shard. The shards are
+// independent, so they build concurrently, at most GOMAXPROCS at a time;
+// each shard's copy, training and Add loop run on that shard's goroutine. If
+// any shard fails, the lowest-numbered failing shard's error is returned.
 func buildFromAssignmentQuant(data *vec.Matrix, assign []int, centroids *vec.Matrix, seed int64, quantBits, nlist int) (*Store, error) {
 	numShards := centroids.Len()
 	// Partition rows by shard.
@@ -230,34 +239,28 @@ func buildFromAssignmentQuant(data *vec.Matrix, assign []int, centroids *vec.Mat
 		rows[s] = append(rows[s], i)
 	}
 	sizes := make([]int, numShards)
-	shards := make([]*Shard, numShards)
-	for s := 0; s < numShards; s++ {
+	for s := range rows {
 		sizes[s] = len(rows[s])
-		if len(rows[s]) == 0 {
-			return nil, fmt.Errorf("hermes: shard %d is empty; reduce NumShards or change seeds", s)
-		}
-		sub := vec.NewMatrix(len(rows[s]), data.Dim)
-		for j, r := range rows[s] {
-			copy(sub.Row(j), data.Row(r))
-		}
-		ix, err := ivf.New(ivf.Config{
-			Dim:       data.Dim,
-			NList:     nlist,
-			Quantizer: newQuantizer(data.Dim, quantBits),
-			Seed:      seed + int64(s),
-		})
+	}
+	shards := make([]*Shard, numShards)
+	errs := make([]error, numShards)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), numShards)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for s := int(next.Add(1) - 1); s < numShards; s = int(next.Add(1) - 1) {
+				shards[s], errs[s] = buildShard(data, s, rows[s], centroids.Row(s), seed+int64(s), quantBits, nlist)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		if err := ix.Train(sub); err != nil {
-			return nil, fmt.Errorf("hermes: shard %d index: %w", s, err)
-		}
-		for j, r := range rows[s] {
-			if err := ix.Add(int64(r), sub.Row(j)); err != nil {
-				return nil, err
-			}
-		}
-		shards[s] = &Shard{Index: ix, Centroid: vec.Copy(centroids.Row(s)), Size: len(rows[s])}
 	}
 	return &Store{
 		Shards:    shards,
@@ -265,6 +268,36 @@ func buildFromAssignmentQuant(data *vec.Matrix, assign []int, centroids *vec.Mat
 		SeedUsed:  seed,
 		Imbalance: kmeans.ImbalanceRatio(sizes),
 	}, nil
+}
+
+// buildShard copies shard s's rows out of data, trains the shard's index on
+// them and adds them under their global row IDs.
+func buildShard(data *vec.Matrix, s int, rows []int, centroid []float32, seed int64, quantBits, nlist int) (*Shard, error) {
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("hermes: shard %d is empty; reduce NumShards or change seeds", s)
+	}
+	sub := vec.NewMatrix(len(rows), data.Dim)
+	for j, r := range rows {
+		copy(sub.Row(j), data.Row(r))
+	}
+	ix, err := ivf.New(ivf.Config{
+		Dim:       data.Dim,
+		NList:     nlist,
+		Quantizer: newQuantizer(data.Dim, quantBits),
+		Seed:      seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.Train(sub); err != nil {
+		return nil, fmt.Errorf("hermes: shard %d index: %w", s, err)
+	}
+	for j, r := range rows {
+		if err := ix.Add(int64(r), sub.Row(j)); err != nil {
+			return nil, err
+		}
+	}
+	return &Shard{Index: ix, Centroid: vec.Copy(centroid), Size: len(rows)}, nil
 }
 
 // FromIndexes reassembles a Store from per-shard indexes loaded from disk.

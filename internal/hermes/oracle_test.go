@@ -24,7 +24,7 @@ import (
 // DeepClusters under the PruneEps cut, deep-search them and fold their
 // results into a top-k in ranked order.
 func reference(st *Store, q []float32, p Params, by ranking) ([]vec.Neighbor, SearchStats) {
-	p = p.withDefaults()
+	p = p.WithDefaults()
 	var stats SearchStats
 	type scored struct {
 		d     float32

@@ -134,7 +134,7 @@ func (s BatchGroupStats) SharedCellScans() int {
 //
 //hermes:hotpath
 func (st *Store) search(qs [][]float32, p Params, by ranking, tr *telemetry.Trace, out []BatchResult) BatchGroupStats {
-	p = p.withDefaults()
+	p = p.WithDefaults()
 	var gs BatchGroupStats
 	n := len(qs)
 	if n == 0 {
@@ -368,7 +368,7 @@ func (st *Store) observe(out []BatchResult, tr *telemetry.Trace, start time.Time
 // shares) form the key set. Two queries with overlapping keys will share
 // cell streams when executed as a group.
 func (st *Store) PredictCells(q []float32, p Params) []uint64 {
-	p = p.withDefaults()
+	p = p.WithDefaults()
 	if len(st.Shards) == 0 {
 		return nil
 	}

@@ -134,8 +134,7 @@ func (ix *Index) Train(data *vec.Matrix) error {
 		// Train the quantizer on residuals, the distribution it will
 		// actually encode.
 		trainSet = vec.NewMatrix(data.Len(), data.Dim)
-		for i := 0; i < data.Len(); i++ {
-			cell, _ := res.Centroids.ArgMinL2(data.Row(i))
+		for i, cell := range kmeans.AssignAll(data, res.Centroids) {
 			row := trainSet.Row(i)
 			copy(row, data.Row(i))
 			centroid := res.Centroids.Row(cell)

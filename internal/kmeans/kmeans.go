@@ -12,6 +12,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/vec"
 )
@@ -115,6 +118,7 @@ func Train(data *vec.Matrix, cfg Config) (*Result, error) {
 
 	centroids := initCentroids(train, cfg.K, cfg.PlusPlus, rng)
 	assign := make([]int, nt)
+	dist := make([]float32, nt)
 	sizes := make([]int, cfg.K)
 	sums := vec.NewMatrix(cfg.K, train.Dim)
 	prevInertia := math.Inf(1)
@@ -124,16 +128,7 @@ func Train(data *vec.Matrix, cfg Config) (*Result, error) {
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		iters = iter + 1
 		// Assignment step.
-		inertia = 0
-		for i := range sizes {
-			sizes[i] = 0
-		}
-		for i := 0; i < nt; i++ {
-			c, d := centroids.ArgMinL2(train.Row(i))
-			assign[i] = c
-			sizes[c]++
-			inertia += float64(d)
-		}
+		inertia = assignRows(train, centroids, assign, dist, sizes)
 		// Update step.
 		clear(sums.Data())
 		for i := 0; i < nt; i++ {
@@ -158,16 +153,7 @@ func Train(data *vec.Matrix, cfg Config) (*Result, error) {
 
 	// Final assignment against the final centroids so Assign/Sizes/Inertia
 	// are mutually consistent.
-	inertia = 0
-	for i := range sizes {
-		sizes[i] = 0
-	}
-	for i := 0; i < nt; i++ {
-		c, d := centroids.ArgMinL2(train.Row(i))
-		assign[i] = c
-		sizes[c]++
-		inertia += float64(d)
-	}
+	inertia = assignRows(train, centroids, assign, dist, sizes)
 
 	return &Result{
 		Centroids: centroids,
@@ -182,31 +168,109 @@ func Train(data *vec.Matrix, cfg Config) (*Result, error) {
 // subset training to partition the full corpus.
 func AssignAll(data *vec.Matrix, centroids *vec.Matrix) []int {
 	out := make([]int, data.Len())
-	for i := 0; i < data.Len(); i++ {
-		out[i], _ = centroids.ArgMinL2(data.Row(i))
-	}
+	forChunks(data.Len(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i], _ = centroids.ArgMinL2(data.Row(i))
+		}
+	})
 	return out
+}
+
+// assignRows sets assign[i] and dist[i] to row i's nearest centroid and its
+// distance, over row chunks in parallel, then recounts sizes and returns the
+// inertia. The sums run sequentially in row order, so every bit is the same
+// at any GOMAXPROCS.
+func assignRows(data, centroids *vec.Matrix, assign []int, dist []float32, sizes []int) float64 {
+	forChunks(data.Len(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			assign[i], dist[i] = centroids.ArgMinL2(data.Row(i))
+		}
+	})
+	clear(sizes)
+	var inertia float64
+	for i, c := range assign {
+		sizes[c]++
+		inertia += float64(dist[i])
+	}
+	return inertia
+}
+
+// minChunkRows is the fewest rows forChunks hands one goroutine: even a
+// cheap row (4 centroids of 32 dimensions) then gives it tens of
+// microseconds of work, and an input of at most this many rows runs inline.
+const minChunkRows = 256
+
+// forChunks calls fn on contiguous ranges [lo, hi) that cover [0, n), one
+// goroutine per range and at most GOMAXPROCS ranges, and returns when all
+// are done. fn must write only to its own rows.
+func forChunks(n int, fn func(lo, hi int)) {
+	w := min(runtime.GOMAXPROCS(0), (n+minChunkRows-1)/minChunkRows)
+	if w <= 1 {
+		fn(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for c := 0; c < w; c++ {
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(c*n/w, (c+1)*n/w)
+	}
+	wg.Wait()
+}
+
+// forEach calls fn(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines, each taking the next unclaimed index, and returns when all
+// calls are done.
+func forEach(n int, fn func(i int)) {
+	w := min(runtime.GOMAXPROCS(0), n)
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for c := 0; c < w; c++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BestSeed runs k-means with each of the given seeds and returns the result
 // (and winning seed) with the lowest cluster-size imbalance, breaking ties by
-// inertia. This reproduces the paper's multi-seed imbalance minimization.
+// inertia and then by seed order. This reproduces the paper's multi-seed
+// imbalance minimization. The seeds run concurrently, at most GOMAXPROCS at
+// a time; if any fails, the error of the first failing seed in seeds is
+// returned.
 func BestSeed(data *vec.Matrix, cfg Config, seeds []int64) (*Result, int64, error) {
 	if len(seeds) == 0 {
 		return nil, 0, fmt.Errorf("kmeans: BestSeed requires at least one seed")
 	}
+	results := make([]*Result, len(seeds))
+	errs := make([]error, len(seeds))
+	forEach(len(seeds), func(i int) {
+		c := cfg
+		c.Seed = seeds[i]
+		c.Rand = nil // the sweep must re-derive the RNG from each seed
+		results[i], errs[i] = Train(data, c)
+	})
 	var best *Result
 	var bestSeed int64
-	for _, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		c.Rand = nil // the sweep must re-derive the RNG from each seed
-		r, err := Train(data, c)
-		if err != nil {
-			return nil, 0, err
+	for i, r := range results {
+		if errs[i] != nil {
+			return nil, 0, fmt.Errorf("kmeans: seed %d: %w", seeds[i], errs[i])
 		}
 		if best == nil || less(r, best) {
-			best, bestSeed = r, seed
+			best, bestSeed = r, seeds[i]
 		}
 	}
 	return best, bestSeed, nil
@@ -243,10 +307,19 @@ func initCentroids(data *vec.Matrix, k int, plusPlus bool, rng *rand.Rand) *vec.
 	copy(centroids.Row(0), data.Row(rng.Intn(n)))
 	dists := make([]float64, n)
 	toNew := make([]float32, n) // every point's distance to the newest centroid
-	vec.L2SquaredBatch(centroids.Row(0), data.Data(), n, toNew)
-	for i, d := range toNew {
-		dists[i] = float64(d)
+	// refresh lowers each point's distance to the nearest chosen centroid
+	// with its distance to centroid c, over row chunks in parallel.
+	refresh := func(c int) {
+		forChunks(n, func(lo, hi int) {
+			vec.L2SquaredBatch(centroids.Row(c), data.Data()[lo*data.Dim:], hi-lo, toNew[lo:hi])
+			for i := lo; i < hi; i++ {
+				if d := float64(toNew[i]); c == 0 || d < dists[i] {
+					dists[i] = d
+				}
+			}
+		})
 	}
+	refresh(0)
 	for c := 1; c < k; c++ {
 		var total float64
 		for _, d := range dists {
@@ -268,12 +341,7 @@ func initCentroids(data *vec.Matrix, k int, plusPlus bool, rng *rand.Rand) *vec.
 			}
 		}
 		copy(centroids.Row(c), data.Row(pick))
-		vec.L2SquaredBatch(centroids.Row(c), data.Data(), n, toNew)
-		for i, d32 := range toNew {
-			if d := float64(d32); d < dists[i] {
-				dists[i] = d
-			}
-		}
+		refresh(c)
 	}
 	return centroids
 }

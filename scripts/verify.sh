@@ -36,3 +36,8 @@ go test -bench='HermesHierarchicalSearch|SearchAllBaseline' -benchtime=1x -run '
 # three times under the race detector with the result cache off, so a race
 # that needs one interleaving cannot hide behind one green run.
 go test -race -count=3 -run 'TestConcurrentSearchAndBatch|TestSwappedResponsesPoisonConnection|TestRoundTripDeadlineUnsticksHungNode|TestHungNodeDoesNotFailItsWave|TestRedialRefusesChangedIdentity|TestRedialResetFailsCleanly' ./internal/distsearch/
+# Index construction splits k-means rows and shards over GOMAXPROCS
+# goroutines and must still produce the recorded bytes: the k-means tests and
+# the hermes build-determinism golden (GOMAXPROCS 1-4) run twice under the
+# race detector with the result cache off.
+go test -race -count=2 ./internal/kmeans/ ./internal/hermes/
