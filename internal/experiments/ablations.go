@@ -97,10 +97,7 @@ func AblationRerank(sc Scale) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := ix.Train(f.corpus.Vectors); err != nil {
-			return nil, err
-		}
-		if err := ix.AddBatch(0, f.corpus.Vectors); err != nil {
+		if err := ix.TrainAndAdd(f.corpus.Vectors, nil); err != nil {
 			return nil, err
 		}
 		nProbe := ix.NList() / 4
@@ -205,10 +202,7 @@ func AblationResidual(sc Scale) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := ix.Train(f.corpus.Vectors); err != nil {
-				return nil, err
-			}
-			if err := ix.AddBatch(0, f.corpus.Vectors); err != nil {
+			if err := ix.TrainAndAdd(f.corpus.Vectors, nil); err != nil {
 				return nil, err
 			}
 			got := make([][]int64, f.queries.Vectors.Len())

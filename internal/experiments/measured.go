@@ -117,10 +117,7 @@ func Table1Quantization(sc Scale) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := ix.Train(f.corpus.Vectors); err != nil {
-			return nil, err
-		}
-		if err := ix.AddBatch(0, f.corpus.Vectors); err != nil {
+		if err := ix.TrainAndAdd(f.corpus.Vectors, nil); err != nil {
 			return nil, err
 		}
 		nProbe := ix.NList() / 6
@@ -149,10 +146,7 @@ func Fig4HNSWvsIVF(sc Scale) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ivfIx.Train(f.corpus.Vectors); err != nil {
-		return nil, err
-	}
-	if err := ivfIx.AddBatch(0, f.corpus.Vectors); err != nil {
+	if err := ivfIx.TrainAndAdd(f.corpus.Vectors, nil); err != nil {
 		return nil, err
 	}
 	// HNSW.

@@ -188,7 +188,11 @@ func Build(data *vec.Matrix, opts BuildOptions) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hermes: clustering: %w", err)
 	}
-	assign := kmeans.AssignAll(data, res.Centroids)
+	// Trained on every row, the clustering already assigned each one.
+	assign := res.Assign
+	if len(assign) != n {
+		assign = kmeans.AssignAll(data, res.Centroids)
+	}
 	return buildFromAssignment(data, assign, res.Centroids, seed)
 }
 
@@ -229,7 +233,7 @@ func buildFromAssignment(data *vec.Matrix, assign []int, centroids *vec.Matrix, 
 
 // buildFromAssignmentQuant builds one IVF index per shard. The shards are
 // independent, so they build concurrently, at most GOMAXPROCS at a time;
-// each shard's copy, training and Add loop run on that shard's goroutine. If
+// each shard's copy, training and fill run on that shard's goroutine. If
 // any shard fails, the lowest-numbered failing shard's error is returned.
 func buildFromAssignmentQuant(data *vec.Matrix, assign []int, centroids *vec.Matrix, seed int64, quantBits, nlist int) (*Store, error) {
 	numShards := centroids.Len()
@@ -271,14 +275,17 @@ func buildFromAssignmentQuant(data *vec.Matrix, assign []int, centroids *vec.Mat
 }
 
 // buildShard copies shard s's rows out of data, trains the shard's index on
-// them and adds them under their global row IDs.
+// them and fills it with them, under their global row IDs, from the
+// training's own assignment.
 func buildShard(data *vec.Matrix, s int, rows []int, centroid []float32, seed int64, quantBits, nlist int) (*Shard, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("hermes: shard %d is empty; reduce NumShards or change seeds", s)
 	}
 	sub := vec.NewMatrix(len(rows), data.Dim)
+	ids := make([]int64, len(rows))
 	for j, r := range rows {
 		copy(sub.Row(j), data.Row(r))
+		ids[j] = int64(r)
 	}
 	ix, err := ivf.New(ivf.Config{
 		Dim:       data.Dim,
@@ -289,13 +296,8 @@ func buildShard(data *vec.Matrix, s int, rows []int, centroid []float32, seed in
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.Train(sub); err != nil {
+	if err := ix.TrainAndAdd(sub, ids); err != nil {
 		return nil, fmt.Errorf("hermes: shard %d index: %w", s, err)
-	}
-	for j, r := range rows {
-		if err := ix.Add(int64(r), sub.Row(j)); err != nil {
-			return nil, err
-		}
 	}
 	return &Shard{Index: ix, Centroid: vec.Copy(centroid), Size: len(rows)}, nil
 }
@@ -452,10 +454,7 @@ func BuildMonolithic(data *vec.Matrix, quantBits, nlist int, seed int64) (*ivf.I
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.Train(data); err != nil {
-		return nil, err
-	}
-	if err := ix.AddBatch(0, data); err != nil {
+	if err := ix.TrainAndAdd(data, nil); err != nil {
 		return nil, err
 	}
 	return ix, nil

@@ -106,11 +106,45 @@ func New(cfg Config) (*Index, error) {
 
 // Train fits the coarse quantizer (and the vector quantizer) on data.
 func (ix *Index) Train(data *vec.Matrix) error {
+	_, err := ix.train(data)
+	return err
+}
+
+// TrainAndAdd trains the index on data, as Train does, then stores row i of
+// data under ids[i] (under i when ids is nil), as Add would, in row order.
+// When the coarse quantizer trained on every row (TrainSample 0 or at least
+// the row count), each row's cell is the training's final assignment, the
+// cell Add's nearest-centroid search would pick, so no row is assigned twice
+// and the index bytes equal Train followed by Add.
+func (ix *Index) TrainAndAdd(data *vec.Matrix, ids []int64) error {
+	if ids != nil && data != nil && len(ids) != data.Len() {
+		return fmt.Errorf("ivf: TrainAndAdd has %d ids for %d rows", len(ids), data.Len())
+	}
+	cells, err := ix.train(data)
+	if err != nil {
+		return err
+	}
+	if cells == nil {
+		cells = kmeans.AssignAll(data, ix.centroids)
+	}
+	for i, cell := range cells {
+		id := int64(i)
+		if ids != nil {
+			id = ids[i]
+		}
+		ix.add(id, data.Row(i), cell)
+	}
+	return nil
+}
+
+// train is Train. It returns each row's coarse cell when it knows them
+// without another search, and nil otherwise.
+func (ix *Index) train(data *vec.Matrix) ([]int, error) {
 	if data == nil || data.Len() == 0 {
-		return fmt.Errorf("ivf: Train requires data")
+		return nil, fmt.Errorf("ivf: Train requires data")
 	}
 	if data.Dim != ix.cfg.Dim {
-		return fmt.Errorf("ivf: data dim %d != index dim %d", data.Dim, ix.cfg.Dim)
+		return nil, fmt.Errorf("ivf: data dim %d != index dim %d", data.Dim, ix.cfg.Dim)
 	}
 	nlist := ix.cfg.NList
 	if nlist <= 0 {
@@ -127,14 +161,22 @@ func (ix *Index) Train(data *vec.Matrix) error {
 		SampleSize: ix.cfg.TrainSample,
 	})
 	if err != nil {
-		return fmt.Errorf("ivf: coarse training: %w", err)
+		return nil, fmt.Errorf("ivf: coarse training: %w", err)
+	}
+	// k-means assigned every row of data unless it trained on a sample.
+	var cells []int
+	if len(res.Assign) == data.Len() {
+		cells = res.Assign
 	}
 	trainSet := data
 	if ix.cfg.ByResidual {
 		// Train the quantizer on residuals, the distribution it will
 		// actually encode.
+		if cells == nil {
+			cells = kmeans.AssignAll(data, res.Centroids)
+		}
 		trainSet = vec.NewMatrix(data.Len(), data.Dim)
-		for i, cell := range kmeans.AssignAll(data, res.Centroids) {
+		for i, cell := range cells {
 			row := trainSet.Row(i)
 			copy(row, data.Row(i))
 			centroid := res.Centroids.Row(cell)
@@ -144,13 +186,13 @@ func (ix *Index) Train(data *vec.Matrix) error {
 		}
 	}
 	if err := ix.cfg.Quantizer.Train(trainSet); err != nil {
-		return fmt.Errorf("ivf: quantizer training: %w", err)
+		return nil, fmt.Errorf("ivf: quantizer training: %w", err)
 	}
 	ix.centroids = res.Centroids
 	ix.lists = make([]invList, nlist)
 	ix.cfg.NList = nlist
 	ix.trained = true
-	return nil
+	return cells, nil
 }
 
 // Trained reports whether Train has completed.
@@ -177,6 +219,12 @@ func (ix *Index) Add(id int64, v []float32) error {
 		return fmt.Errorf("ivf: Add dim %d != %d", len(v), ix.cfg.Dim)
 	}
 	cell, _ := ix.centroids.ArgMinL2(v)
+	ix.add(id, v, cell)
+	return nil
+}
+
+// add stores v under id in the given coarse cell.
+func (ix *Index) add(id int64, v []float32, cell int) {
 	cs := ix.cfg.Quantizer.CodeSize()
 	l := &ix.lists[cell]
 	l.ids = append(l.ids, id)
@@ -193,7 +241,6 @@ func (ix *Index) Add(id int64, v []float32) error {
 	}
 	ix.cfg.Quantizer.Encode(toEncode, l.codes[start:start+cs])
 	ix.count++
-	return nil
 }
 
 // AddBatch stores all rows of m with IDs startID, startID+1, ...

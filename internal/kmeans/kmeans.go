@@ -6,6 +6,13 @@
 // small random subset of the corpus (1-2% tracks the full clustering well)
 // and sweeping several RNG seeds to pick the run with the lowest cluster-size
 // imbalance, measured as the ratio of the largest to smallest cluster.
+//
+// Every Lloyd assignment pass after the first is bound-pruned (Elkan's
+// triangle-inequality bounds, elkan.go): it skips the distances its bounds
+// prove cannot change a row's nearest centroid, with margins for the
+// kernel's rounding, so the clustering is bit for bit the one full passes
+// give, at any GOMAXPROCS. Training sets above maxBounds rows × K, or with a
+// NaN or infinity, keep the full passes.
 package kmeans
 
 import (
@@ -65,6 +72,10 @@ type Result struct {
 	Inertia float64
 	// Iters is the number of Lloyd iterations performed.
 	Iters int
+
+	// evals counts the row-to-centroid distances the bound-pruned
+	// assignment passes evaluated; 0 when Train kept the full passes.
+	evals int64
 }
 
 // Imbalance returns max(size)/min(size) over non-empty accounting of all
@@ -124,11 +135,19 @@ func Train(data *vec.Matrix, cfg Config) (*Result, error) {
 	prevInertia := math.Inf(1)
 	var inertia float64
 	iters := 0
+	bounds := newElkan(train, cfg.K)
+	assignPass := func() float64 {
+		if bounds == nil {
+			return assignRows(train, centroids, assign, dist, sizes)
+		}
+		bounds.assign(train, centroids, assign, dist)
+		return countRows(assign, dist, sizes)
+	}
 
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		iters = iter + 1
 		// Assignment step.
-		inertia = assignRows(train, centroids, assign, dist, sizes)
+		inertia = assignPass()
 		// Update step.
 		clear(sums.Data())
 		for i := 0; i < nt; i++ {
@@ -153,15 +172,19 @@ func Train(data *vec.Matrix, cfg Config) (*Result, error) {
 
 	// Final assignment against the final centroids so Assign/Sizes/Inertia
 	// are mutually consistent.
-	inertia = assignRows(train, centroids, assign, dist, sizes)
+	inertia = assignPass()
 
-	return &Result{
+	res := &Result{
 		Centroids: centroids,
 		Assign:    assign,
 		Sizes:     sizes,
 		Inertia:   inertia,
 		Iters:     iters,
-	}, nil
+	}
+	if bounds != nil {
+		res.evals = bounds.evals.Load()
+	}
+	return res, nil
 }
 
 // AssignAll maps every row of data to its nearest centroid. Used after
@@ -186,6 +209,12 @@ func assignRows(data, centroids *vec.Matrix, assign []int, dist []float32, sizes
 			assign[i], dist[i] = centroids.ArgMinL2(data.Row(i))
 		}
 	})
+	return countRows(assign, dist, sizes)
+}
+
+// countRows recounts sizes from assign and returns the inertia, summed
+// sequentially in row order.
+func countRows(assign []int, dist []float32, sizes []int) float64 {
 	clear(sizes)
 	var inertia float64
 	for i, c := range assign {

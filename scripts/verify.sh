@@ -41,3 +41,7 @@ go test -race -count=3 -run 'TestConcurrentSearchAndBatch|TestSwappedResponsesPo
 # the hermes build-determinism golden (GOMAXPROCS 1-4) run twice under the
 # race detector with the result cache off.
 go test -race -count=2 ./internal/kmeans/ ./internal/hermes/
+# Lloyd's assignment passes skip distances that triangle-inequality bounds
+# prove cannot win, and must still give the full passes' bits: five seconds
+# of fuzzing the pruned Train against the full-pass reference.
+go test -run '^$' -fuzz '^FuzzTrainMatchesLloyd$' -fuzztime 5s ./internal/kmeans/
