@@ -49,7 +49,7 @@ func (c *rawConn) recv() (frameHeader, *Response, error) {
 	h, body, err := readFrame(c.br, nil)
 	var resp Response
 	if err == nil {
-		err = decodeResponse(body, &resp)
+		err = decodeResponse(h.op, body, &resp)
 	}
 	return h, &resp, err
 }

@@ -55,6 +55,11 @@ type nodeClient struct {
 	size     int
 	dim      int
 	centroid []float32
+	// ids is the Bloom filter of the ids the node holds, as far as this
+	// coordinator knows (see idFilter): the node's own from the latest
+	// handshake, plus every id this coordinator's Add has routed there
+	// since. A redial replaces it.
+	ids atomic.Pointer[idFilter]
 
 	// deepLoad counts deep searches sent to this node over the client's
 	// lifetime — the coordinator-side view of per-shard load, feeding the
@@ -124,6 +129,7 @@ func dialNode(addr string, timeout, rtTimeout time.Duration, cm *coordMetrics, e
 		return nil, fmt.Errorf("distsearch: handshake with %s: %w", addr, err)
 	}
 	c.shardID, c.size, c.dim, c.centroid = info.ShardID, info.Size, info.Dim, info.Centroid
+	c.ids.Store(&idFilter{words: info.IDFilter})
 	c.met = newClientMetrics(cm.reg, c.shardID)
 	ev.Info("node.dial", evlog.Str("addr", addr), evlog.Int("shard", int64(c.shardID)))
 	return c, nil
@@ -184,6 +190,7 @@ func (c *nodeClient) redialLocked() error {
 		}
 		if err == nil {
 			c.conn, c.broken, c.size, c.centroid = pc, false, info.Size, info.Centroid
+			c.ids.Store(&idFilter{words: info.IDFilter})
 			c.ev.Info("node.redial", evlog.Int("shard", int64(c.shardID)), evlog.Str("addr", c.addr))
 			return nil
 		}
@@ -211,6 +218,10 @@ func (c *nodeClient) handshake(pc *conn) (*Response, error) {
 	if err == nil {
 		info, _, err = c.readResponse(pc, OpInfo, c.lastID)
 	}
+	// The answer carries the id filter, two bytes per id, and has been
+	// decoded out of the read buffer: the connection does not keep a buffer
+	// of that size.
+	pc.rbuf = nil
 	if err == nil && info.Err != "" {
 		err = fmt.Errorf("handshake rejected: %s", info.Err)
 	}
@@ -344,7 +355,7 @@ func (c *nodeClient) readResponse(pc *conn, op Op, id uint64) (*Response, int64,
 		return nil, n, fmt.Errorf("response (op %d, id %d) does not answer request (op %d, id %d)", h.op, h.id, op, id)
 	}
 	resp := new(Response)
-	return resp, n, decodeResponse(body, resp)
+	return resp, n, decodeResponse(op, body, resp)
 }
 
 // fail poisons pc with err, once: the first failure records its events —
@@ -408,6 +419,10 @@ type Coordinator struct {
 	// grouped asks nodes to serve SearchBatch phases through the shared
 	// multi-query cell scan (see SetGrouped).
 	grouped bool
+	// release removes the scrape-time collectors registered for this
+	// coordinator, which close over it; Close runs them, so a closed
+	// coordinator is neither kept reachable nor called by its registry.
+	release []func()
 }
 
 // SetLenient toggles degraded-mode serving: when enabled, a node that fails
@@ -505,7 +520,7 @@ func DialOpts(addrs []string, opts DialOptions) (*Coordinator, error) {
 	imbalance := reg.Gauge("hermes_coordinator_load_imbalance_ratio",
 		"per-shard deep-search load imbalance seen by this coordinator (max/mean; 1 = perfectly balanced, 0 = no load yet)")
 	var above atomic.Bool
-	reg.RegisterCollector(func(*telemetry.Registry) {
+	co.release = append(co.release, reg.RegisterCollector(func(*telemetry.Registry) {
 		v := co.loadImbalance()
 		imbalance.Set(v)
 		// CompareAndSwap both races-proofs the crossing state (concurrent
@@ -516,7 +531,7 @@ func DialOpts(addrs []string, opts DialOptions) (*Coordinator, error) {
 		} else if v < imbalanceEventThreshold && above.CompareAndSwap(true, false) {
 			co.ev.Info("load.balanced", evlog.Float("ratio", v))
 		}
-	})
+	}))
 	return co, nil
 }
 
@@ -830,26 +845,42 @@ func (co *Coordinator) Add(id int64, v []float32) (int, error) {
 	if best < 0 {
 		return 0, fmt.Errorf("distsearch: no node exposes a centroid for routing")
 	}
-	resp, err := co.nodes[best].roundTrip(&Request{Op: OpAdd, ID: id, Query: v})
+	n := co.nodes[best]
+	resp, err := n.roundTrip(&Request{Op: OpAdd, ID: id, Query: v})
 	if err != nil {
 		return 0, err
 	}
+	n.ids.Load().add(id)
 	return resp.ShardID, nil
 }
 
 // Remove deletes a document from whichever node holds it. It returns the
-// shard ID and false if no node had the id.
+// shard ID and false if no node had the id. It asks one node at a time:
+// first, in node order, the nodes whose id filter may hold the id, then, only
+// if none of them had it, the others in node order. An id that one node
+// holds is therefore removed in one exchange plus the filters' false
+// positives, with the answer of a walk over every node in node order; an id
+// the filters miss (one another coordinator added) is still found, and an
+// absent id costs one exchange per node. A node that fails is skipped when
+// the coordinator is lenient and fails the Remove otherwise.
 func (co *Coordinator) Remove(id int64) (int, bool, error) {
-	for _, n := range co.nodes {
-		resp, err := n.roundTrip(&Request{Op: OpRemove, ID: id})
-		if err != nil {
-			if co.lenient {
+	asked := make([]bool, len(co.nodes))
+	for _, filtered := range [...]bool{true, false} {
+		for i, n := range co.nodes {
+			if asked[i] || filtered && !n.ids.Load().mayHold(id) {
 				continue
 			}
-			return 0, false, err
-		}
-		if resp.OK {
-			return resp.ShardID, true, nil
+			asked[i] = true
+			resp, err := n.roundTrip(&Request{Op: OpRemove, ID: id})
+			if err != nil {
+				if co.lenient {
+					continue
+				}
+				return 0, false, err
+			}
+			if resp.OK {
+				return resp.ShardID, true, nil
+			}
 		}
 	}
 	return 0, false, nil
@@ -917,9 +948,14 @@ func (co *Coordinator) Shutdown() error {
 	return firstErr
 }
 
-// Close drops all connections without stopping the nodes. Every connection
+// Close drops all connections without stopping the nodes and removes the
+// coordinator's scrape-time collectors from its registry. Every connection
 // is closed regardless; the first close error is returned.
 func (co *Coordinator) Close() error {
+	for _, remove := range co.release {
+		remove()
+	}
+	co.release = nil
 	var firstErr error
 	for _, n := range co.nodes {
 		if n == nil {

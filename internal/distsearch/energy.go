@@ -26,7 +26,7 @@ import (
 // span). The mapping assumes deep searches dominate node compute (sample
 // searches are ~nProbe/16th of the work) and that load between scrapes is
 // uniform within the window. Call once, before serving; the collector runs
-// on every /metrics render or Snapshot.
+// on every /metrics render or Snapshot until Close.
 func (co *Coordinator) EnableEnergyModel(spec hwmodel.CPUSpec, tokensPerVector int64) error {
 	if tokensPerVector <= 0 {
 		return fmt.Errorf("distsearch: EnableEnergyModel: tokensPerVector must be positive, got %d", tokensPerVector)
@@ -58,7 +58,8 @@ func (co *Coordinator) EnableEnergyModel(spec hwmodel.CPUSpec, tokensPerVector i
 		ec.joules[i] = reg.Gauge("hermes_energy_model_joules",
 			"modeled cumulative package energy per node since the model was enabled ("+spec.Name+")", "node", node)
 	}
-	reg.RegisterCollector(ec.collect)
+	//lint:ignore chanbound set-up wiring: one entry per collector registered for this coordinator, emptied by Close, never per request
+	co.release = append(co.release, reg.RegisterCollector(ec.collect))
 	return nil
 }
 

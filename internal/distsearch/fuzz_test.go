@@ -113,20 +113,43 @@ func FuzzRequestDecode(f *testing.F) {
 	})
 }
 
+// overclaimedFilterFrame is an OpInfo response frame, intact but for its
+// IDFilter word count, which claims words words where two (16 bytes) follow:
+// the decoder must refuse it before allocating. The count is the body's
+// eighth byte, after the empty Err, the three info ints and the empty
+// Neighbors, Batch and Centroid.
+func overclaimedFilterFrame(tb testing.TB, words uint64) []byte {
+	frame := appendResponse(nil, 5, OpInfo, &Response{IDFilter: []uint64{1, 2}}, time.Time{})
+	at := headerSize + 7
+	if frame[at] != 2 {
+		tb.Fatalf("byte %d is %#x, not the filter's word count 2", at, frame[at])
+	}
+	frame = append(binary.AppendUvarint(bytes.Clone(frame[:at]), words), frame[at+1:]...)
+	return sealFrame(frame, 0)
+}
+
 func FuzzResponseDecode(f *testing.F) {
 	for _, g := range goldenFrames(f) {
 		if _, ok := g.env.(*Response); ok {
 			addSeeds(f, g.encode())
 		}
 	}
+	// Both claim more words than remain: one more than the body has bytes,
+	// one more than its bytes hold words but fewer than its bytes.
+	f.Add(overclaimedFilterFrame(f, 1<<40))
+	f.Add(overclaimedFilterFrame(f, 12))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, body := asFrame(data)
-		var resp Response
-		if decodeResponse(body, &resp) != nil {
-			return
-		}
-		if got := appendResponse(nil, h.id, h.op, &resp, time.Time{})[headerSize:]; !bytes.Equal(got, body) {
-			t.Fatalf("decoded response re-encodes differently:\n got %x\nwant %x", got, body)
+		// Every body is also read as an OpInfo response's, the one op whose
+		// body carries IDFilter, so bare bytes reach that decoder too.
+		for _, op := range []Op{h.op, OpInfo} {
+			var resp Response
+			if decodeResponse(op, body, &resp) != nil {
+				continue
+			}
+			if got := appendResponse(nil, h.id, op, &resp, time.Time{})[headerSize:]; !bytes.Equal(got, body) {
+				t.Fatalf("decoded op %d response re-encodes differently:\n got %x\nwant %x", op, got, body)
+			}
 		}
 	})
 }

@@ -44,20 +44,28 @@ type goldenFrame struct {
 }
 
 // goldenFrames returns every recorded envelope: the fuzz seeds, the
-// reflection-filled pair of TestWireRoundTripComplete, and one OpSample and
-// one OpDeep exchange.
+// reflection-filled pair of TestWireRoundTripComplete, one OpSample and one
+// OpDeep exchange, and one OpInfo handshake whose answer carries an id
+// filter, which pins the filter's hash and probes as well as its encoding.
 func goldenFrames(t testing.TB) []goldenFrame {
 	req, resp := filled(t)
 	ex := searchExchanges()
+	info := newIDFilter(5)
+	for _, id := range []int64{811, 12, 4096, 7, 300001} {
+		info.add(id)
+	}
 	return []goldenFrame{
 		{"seed_request", 42, OpDeepBatch, seedRequest()},
 		{"seed_response", 42, OpDeepBatch, seedResponse()},
 		{"filled_request", 99, req.Op, req},
-		{"filled_response", 7, OpStats, resp},
+		{"filled_response", 7, OpInfo, resp},
 		{"sample_request", 3, OpSample, ex[0].req},
 		{"sample_response", 3, OpSample, ex[0].resp},
 		{"deep_request", 4, OpDeep, ex[1].req},
 		{"deep_response", 4, OpDeep, ex[1].resp},
+		{"info_request", 1, OpInfo, &Request{Op: OpInfo}},
+		{"info_response", 1, OpInfo, &Response{ShardID: 3, Size: 5, Dim: 4,
+			Centroid: []float32{0.5, -1.25, 3, 0}, IDFilter: info.words}},
 	}
 }
 
@@ -98,7 +106,7 @@ func (g goldenFrame) decodes(frame []byte) error {
 	case *Request:
 		err = decodeRequest(h.op, body, env)
 	case *Response:
-		err = decodeResponse(body, env)
+		err = decodeResponse(h.op, body, env)
 	}
 	if err != nil {
 		return fmt.Errorf("frame %s: %v", g.name, err)

@@ -184,6 +184,11 @@ func (n *Node) serveConn(conn net.Conn) {
 			go n.Close()
 			return
 		}
+		if h.op == OpInfo {
+			// The handshake's answer carries the id filter, two bytes per
+			// id: the connection keeps no write buffer of that size.
+			out = nil
+		}
 	}
 }
 
@@ -284,7 +289,7 @@ func (n *Node) handle(req *Request, arrival, decodeDone time.Time) *Response {
 	}
 	switch req.Op {
 	case OpInfo:
-		return &Response{ShardID: n.shardID, Size: n.index.Len(), Dim: n.index.Dim(), Centroid: n.meanCentroid()}
+		return &Response{ShardID: n.shardID, Size: n.index.Len(), Dim: n.index.Dim(), Centroid: n.meanCentroid(), IDFilter: n.idFilter()}
 	case OpSample, OpDeep, OpSampleBatch, OpDeepBatch:
 		return n.search(req, arrival, decodeDone)
 	case OpAdd:
@@ -327,6 +332,14 @@ func (n *Node) meanCentroid() []float32 {
 	}
 	vec.Scale(out, 1/float32(n.index.NList()))
 	return out
+}
+
+// idFilter builds the Bloom filter of the shard's live ids that OpInfo
+// ships, for the coordinator to route Remove by.
+func (n *Node) idFilter() []uint64 {
+	f := newIDFilter(n.index.Len())
+	n.index.EachID(f.add)
+	return f.words
 }
 
 // search serves the four search ops through one ivf executor. A grouped

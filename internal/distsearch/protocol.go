@@ -79,8 +79,10 @@ type Request struct {
 }
 
 // Response is the single wire response envelope. Err is non-empty when the
-// node rejected or failed the request. Like Request, its frames are recorded
-// in the version's golden file.
+// node rejected or failed the request. The op travels in the frame header,
+// and every field but IDFilter travels in every body; IDFilter travels only in
+// an OpInfo response's. Like Request, its frames are recorded in the
+// version's golden file.
 type Response struct {
 	Err string
 	// Info fields.
@@ -95,6 +97,10 @@ type Response struct {
 	// Centroid is the node's mean coarse centroid (OpInfo), used by the
 	// coordinator to route ingested documents to the most similar shard.
 	Centroid []float32
+	// IDFilter is the words of a Bloom filter over the node's live ids
+	// (OpInfo only; see idFilter), which the coordinator routes Remove by.
+	// Only an OpInfo response's body carries it.
+	IDFilter []uint64
 	// OK reports OpRemove success (the id was present and is now gone).
 	OK bool
 	// Stats fields (OpStats).

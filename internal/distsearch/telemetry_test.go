@@ -299,8 +299,9 @@ func upgradedNode(t *testing.T, shardID, dim int) (addr string, stop func()) {
 	})
 }
 
-// TestResponseWireCompatV2V3 is the version rule after the dial, named for
-// this build's v2 meeting a v3 peer: once a node restarts as the next wire
+// TestResponseWireCompatV2V3 is the version rule after the dial, named when
+// this build spoke v2 and met a v3 peer; it follows wireVersion, so today
+// it is v3 meeting v4: once a node restarts as the next wire
 // version, every round-trip fails with an error naming both versions, the
 // connection stays poisoned, and each redial is refused again. No frame of
 // the other version is ever decoded.

@@ -32,14 +32,17 @@ import (
 // byte; strings and slices as a varint length, then the elements; maps as a
 // length, then key-sorted pairs. An empty slice or map is a zero length and
 // decodes to nil. So each value has exactly one encoding, and a frame that
-// decodes re-encodes to its own bytes.
+// decodes re-encodes to its own bytes. One field depends on the op: only an
+// OpInfo response's body carries IDFilter, after Centroid, as a word count
+// and then the words as raw little-endian uint64s, so no other response pays
+// a byte for it.
 //
 // The version rule: the magic and the version byte keep their place in every
 // version, and a peer speaks exactly one version. A node that receives
 // another version answers with an error frame of its own version and closes
 // the connection, so whichever side reads the mismatch can name both.
 const (
-	wireVersion  = 2
+	wireVersion  = 3
 	headerSize   = 20
 	maxFrameBody = 1 << 28
 )
@@ -174,10 +177,11 @@ func decodeRequest(op Op, body []byte, req *Request) error {
 	return nil
 }
 
-// appendResponse appends resp as one frame answering request (op, id).
-// Spans are the body's last field so that a traced node can time the encode
-// itself: with a non-zero encStart, the last span's DurNanos is not read from
-// resp but measured from encStart to the moment it is written.
+// appendResponse appends resp as one frame answering request (op, id); its
+// IDFilter travels only when op is OpInfo. Spans are the body's last field so
+// that a traced node can time the encode itself: with a non-zero encStart,
+// the last span's DurNanos is not read from resp but measured from encStart
+// to the moment it is written.
 func appendResponse(dst []byte, id uint64, op Op, resp *Response, encStart time.Time) []byte {
 	start := len(dst)
 	dst = appendHeader(dst, op, id)
@@ -191,6 +195,12 @@ func appendResponse(dst []byte, id uint64, op Op, resp *Response, encStart time.
 		dst = appendNeighbors(dst, ns)
 	}
 	dst = appendFloats(dst, resp.Centroid)
+	if op == OpInfo {
+		dst = binary.AppendUvarint(dst, uint64(len(resp.IDFilter)))
+		for _, w := range resp.IDFilter {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
+	}
 	dst = appendBool(dst, resp.OK)
 	for _, v := range [...]int64{resp.SampleServed, resp.DeepServed, resp.MutationsServed,
 		int64(resp.Tombstones), resp.ServerNanos, resp.Scanned} {
@@ -248,9 +258,9 @@ func appendResponse(dst []byte, id uint64, op Op, resp *Response, encStart time.
 	return sealFrame(dst, start)
 }
 
-// decodeResponse decodes a response body. It allocates the slices and maps
-// the body holds and nothing else.
-func decodeResponse(body []byte, resp *Response) error {
+// decodeResponse decodes the body of a response to op. It allocates the
+// slices and maps the body holds and nothing else.
+func decodeResponse(op Op, body []byte, resp *Response) error {
 	r := wireReader{b: body}
 	*resp = Response{Err: r.string()}
 	resp.ShardID, resp.Size, resp.Dim = r.int(), r.int(), r.int()
@@ -262,6 +272,9 @@ func decodeResponse(body []byte, resp *Response) error {
 		}
 	}
 	resp.Centroid = r.floats()
+	if op == OpInfo {
+		resp.IDFilter = r.words()
+	}
 	resp.OK = r.bool()
 	resp.SampleServed, resp.DeepServed, resp.MutationsServed = r.varint(), r.varint(), r.varint()
 	resp.Tombstones = r.int()
@@ -450,6 +463,19 @@ func (r *wireReader) floats() []float32 {
 	p := r.next(4 * n)
 	for i := range v {
 		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
+	}
+	return v
+}
+
+func (r *wireReader) words() []uint64 {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	v := make([]uint64, n)
+	p := r.next(8 * n)
+	for i := range v {
+		v[i] = binary.LittleEndian.Uint64(p[8*i:])
 	}
 	return v
 }

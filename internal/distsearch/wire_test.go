@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,7 +116,9 @@ func filled(t testing.TB) (*Request, *Response) {
 }
 
 // TestWireRoundTripComplete: every field of both envelopes, and of every
-// struct reachable from them, survives a frame bit for bit.
+// struct reachable from them, survives a frame bit for bit. The response
+// travels as an OpInfo answer, the one op whose body carries every field; as
+// the answer to any other op it loses IDFilter and nothing else.
 func TestWireRoundTripComplete(t *testing.T) {
 	req, resp := filled(t)
 
@@ -128,13 +131,20 @@ func TestWireRoundTripComplete(t *testing.T) {
 		t.Fatalf("request round trip: err=%v id=%d\n sent %+v\n  got %+v", err, h.id, req, gotReq)
 	}
 
-	h, body, err = readFrame(bufio.NewReader(bytes.NewReader(appendResponse(nil, 7, OpStats, resp, time.Time{}))), nil)
-	var gotResp Response
-	if err == nil {
-		err = decodeResponse(body, &gotResp)
-	}
-	if err != nil || h.id != 7 || h.op != OpStats || !sameBits(reflect.ValueOf(*resp), reflect.ValueOf(gotResp)) {
-		t.Fatalf("response round trip: err=%v header=%+v\n sent %+v\n  got %+v", err, h, resp, gotResp)
+	withoutFilter := *resp
+	withoutFilter.IDFilter = nil
+	for _, tc := range []struct {
+		op   Op
+		want *Response
+	}{{OpInfo, resp}, {OpStats, &withoutFilter}} {
+		h, body, err = readFrame(bufio.NewReader(bytes.NewReader(appendResponse(nil, 7, tc.op, resp, time.Time{}))), nil)
+		var gotResp Response
+		if err == nil {
+			err = decodeResponse(h.op, body, &gotResp)
+		}
+		if err != nil || h.id != 7 || h.op != tc.op || !sameBits(reflect.ValueOf(*tc.want), reflect.ValueOf(gotResp)) {
+			t.Fatalf("op %d response round trip: err=%v header=%+v\n sent %+v\n  got %+v", tc.op, err, h, tc.want, gotResp)
+		}
 	}
 }
 
@@ -176,12 +186,33 @@ func TestWireAllocBudgets(t *testing.T) {
 		body := appendResponse(nil, 1, req.Op, resp, time.Time{})[headerSize:]
 		a := testing.AllocsPerRun(100, func() {
 			var r Response
-			if err := decodeResponse(body, &r); err != nil {
+			if err := decodeResponse(req.Op, body, &r); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if a != 2 {
 			t.Errorf("%d-neighbor response decode: %v allocs, want 2 (neighbors, costs)", len(resp.Neighbors), a)
+		}
+	}
+}
+
+// TestFilterWordCountBounded: an OpInfo answer whose filter claims more words
+// than the body has bytes left fails at the length check, before the words
+// are allocated, whether the claim exceeds the bytes left or only the words
+// they hold.
+func TestFilterWordCountBounded(t *testing.T) {
+	for _, words := range []uint64{1 << 40, 12} {
+		h, body, err := readFrame(bufio.NewReader(bytes.NewReader(overclaimedFilterFrame(t, words))), nil)
+		if err != nil {
+			t.Fatalf("%d words: the frame around the claim is damaged: %v", words, err)
+		}
+		var resp Response
+		err = decodeResponse(h.op, body, &resp)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("length %d exceeds the", words)) {
+			t.Errorf("claim of %d words: err %v, want the length check to refuse it", words, err)
+		}
+		if resp.IDFilter != nil {
+			t.Errorf("claim of %d words: decoded a filter of %d words", words, len(resp.IDFilter))
 		}
 	}
 }

@@ -65,6 +65,24 @@ func (ix *Index) Remove(id int64) bool {
 	return false
 }
 
+// EachID calls visit with the id of every live entry, list by list in slot
+// order, skipping tombstoned slots. visit must not mutate the index.
+func (ix *Index) EachID(visit func(id int64)) {
+	for li := range ix.lists {
+		var dead []uint32
+		if ix.deadPos != nil {
+			dead = ix.deadPos[li]
+		}
+		for pos, id := range ix.lists[li].ids {
+			if len(dead) > 0 && dead[0] == uint32(pos) {
+				dead = dead[1:]
+				continue
+			}
+			visit(id)
+		}
+	}
+}
+
 // Tombstones reports how many removed entries still occupy list space.
 func (ix *Index) Tombstones() int { return ix.deadCount }
 

@@ -170,3 +170,41 @@ func TestScanStatsExcludeTombstones(t *testing.T) {
 		t.Fatalf("scanned %d after removals, want %d", after.VectorsScanned, before.VectorsScanned-40)
 	}
 }
+
+// TestEachIDVisitsLiveIDs: EachID visits every live id once and no
+// tombstoned one, before and after Compact, including an id removed and
+// re-added (its old slot is dead, its new one live).
+func TestEachIDVisitsLiveIDs(t *testing.T) {
+	data := gaussianData(300, 8, 33)
+	ix := buildIndex(t, data, Config{Dim: 8, NList: 8, Seed: 3})
+	live := make(map[int64]int)
+	for id := int64(0); id < 300; id++ {
+		live[id] = 1
+	}
+	for id := int64(0); id < 300; id += 3 {
+		if !ix.Remove(id) {
+			t.Fatalf("remove %d failed", id)
+		}
+		delete(live, id)
+	}
+	if err := ix.Add(6, data.Row(6)); err != nil {
+		t.Fatal(err)
+	}
+	live[6] = 1
+	check := func(stage string) {
+		t.Helper()
+		seen := make(map[int64]int)
+		ix.EachID(func(id int64) { seen[id]++ })
+		if len(seen) != len(live) || len(seen) != ix.Len() {
+			t.Fatalf("%s: visited %d distinct ids, want %d live (Len %d)", stage, len(seen), len(live), ix.Len())
+		}
+		for id, n := range seen {
+			if n != 1 || live[id] != 1 {
+				t.Fatalf("%s: id %d visited %d times, live %v", stage, id, n, live[id] == 1)
+			}
+		}
+	}
+	check("with tombstones")
+	ix.Compact()
+	check("after Compact")
+}

@@ -27,6 +27,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -88,7 +89,7 @@ type Registry struct {
 	families map[string]*family
 
 	collMu     sync.Mutex
-	collectors []func(*Registry)
+	collectors []*collector
 }
 
 // Default is the process-wide registry used when instrumented layers are not
@@ -206,26 +207,45 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 
 // RegisterCollector adds a hook run at the start of every WritePrometheus
 // and Snapshot call — the seam through which snapshot-style stats
-// (kvcache.Stats, batcher.Stats) publish live values at scrape time.
-func (r *Registry) RegisterCollector(f func(*Registry)) {
+// (kvcache.Stats, batcher.Stats) publish live values at scrape time. The
+// returned func removes the hook again; a hook whose owner is closed must be
+// removed, or the registry keeps the owner reachable and calls into it on
+// every scrape. Removing twice is a no-op.
+func (r *Registry) RegisterCollector(f func(*Registry)) (remove func()) {
 	if r == nil || f == nil {
-		return
+		return func() {}
 	}
+	c := &collector{f: f}
 	r.collMu.Lock()
-	//lint:ignore chanbound registration-time wiring: one append per collector hooked at startup, never per-request growth
-	r.collectors = append(r.collectors, f)
+	//lint:ignore chanbound registration-time wiring: one append per collector hooked at startup, removed when its owner closes, never per-request growth
+	r.collectors = append(r.collectors, c)
 	r.collMu.Unlock()
+	return func() {
+		r.collMu.Lock()
+		defer r.collMu.Unlock()
+		for i, got := range r.collectors {
+			if got == c {
+				// Delete zeroes the vacated slot: the array must not keep
+				// the hook, and with it its owner, reachable.
+				r.collectors = slices.Delete(r.collectors, i, i+1)
+				return
+			}
+		}
+	}
 }
+
+// collector is one registered hook; its address identifies it for removal.
+type collector struct{ f func(*Registry) }
 
 // runCollectors invokes registered collectors outside the registry lock so
 // they are free to create and set metrics.
 func (r *Registry) runCollectors() {
 	r.collMu.Lock()
-	colls := make([]func(*Registry), len(r.collectors))
+	colls := make([]*collector, len(r.collectors))
 	copy(colls, r.collectors)
 	r.collMu.Unlock()
-	for _, f := range colls {
-		f(r)
+	for _, c := range colls {
+		c.f(r)
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -125,6 +126,49 @@ func TestCollectorRunsAtScrape(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap["live_value"] != 2 {
 		t.Errorf("snapshot after second collect = %v, want live_value=2", snap["live_value"])
+	}
+}
+
+// TestCollectorRemove: a removed collector no longer runs, the others keep
+// running in registration order, removing twice is harmless, and the
+// registry keeps no reference to a removed one.
+func TestCollectorRemove(t *testing.T) {
+	reg := NewRegistry()
+	var order []string
+	hook := func(name string) func(*Registry) {
+		return func(*Registry) { order = append(order, name) }
+	}
+	reg.RegisterCollector(hook("a"))
+	removeB := reg.RegisterCollector(hook("b"))
+	removeC := reg.RegisterCollector(hook("c"))
+	removeB()
+	removeB()
+	var nilReg *Registry
+	nilReg.RegisterCollector(hook("d"))()
+	reg.Snapshot()
+	if got := strings.Join(order, ","); got != "a,c" {
+		t.Fatalf("collectors run after removing b: %s, want a,c", got)
+	}
+	removeC()
+	// A removed hook, the last one here, must not linger in the backing
+	// array either: it would keep what it closes over reachable.
+	released := make(chan struct{})
+	func() {
+		owner := new([64]byte)
+		runtime.SetFinalizer(owner, func(*[64]byte) { close(released) })
+		reg.RegisterCollector(func(*Registry) { owner[0]++ })()
+	}()
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			runtime.KeepAlive(reg) // the registry, not its own collection, let go of the hook
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if i == 20 {
+			t.Fatal("a removed collector is still reachable from the registry")
+		}
 	}
 }
 

@@ -45,3 +45,9 @@ go test -race -count=2 ./internal/kmeans/ ./internal/hermes/
 # prove cannot win, and must still give the full passes' bits: five seconds
 # of fuzzing the pruned Train against the full-pass reference.
 go test -run '^$' -fuzz '^FuzzTrainMatchesLloyd$' -fuzztime 5s ./internal/kmeans/
+# Remove asks the node whose id filter claims the id first, Add sets filter
+# bits with atomic word updates beside concurrent readers, a redial replaces
+# a node's filter, and Close releases the coordinator's collectors: the
+# routing and release tests run three times under the race detector with the
+# result cache off.
+go test -race -count=3 -run 'TestIDFilterProperties|TestRemoveRoutedToHolder|TestRemoveStaleFilter|TestRedialRefreshesFilter|TestCloseReleasesCoordinator' ./internal/distsearch/
